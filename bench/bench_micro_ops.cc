@@ -31,6 +31,7 @@
 #include "runtime/key_codec.h"
 #include "runtime/ops.h"
 #include "runtime/serde.h"
+#include "runtime/spill.h"
 #include "shred/value_shredder.h"
 #include "skew/skew.h"
 #include "util/random.h"
@@ -461,6 +462,42 @@ void BM_SerdeRead(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_SerdeRead)->Arg(65536);
+
+/// Block spill round-trip throughput: SpillAndRestoreBlock on an n-row
+/// resident block with int, real, string and label columns — the path every
+/// block-resident spill site takes (BM_SerdeWrite/BM_SerdeRead time only
+/// row-batch records). bytes/s counts spilled bytes written plus read back.
+void BM_SpillBlockRoundTrip(benchmark::State& state) {
+  Schema schema({{"k", nrc::Type::Int()},
+                 {"v", nrc::Type::Real()},
+                 {"p", nrc::Type::String()},
+                 {"l", nrc::Type::Label()}});
+  Rng rng(13);
+  column::PartitionBlock block(schema);
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    int64_t k = rng.UniformRange(0, 1 << 20);
+    block.AppendRow(Row({Field::Int(k), Field::Real(rng.NextDouble()),
+                         Field::Str("p" + std::to_string(k)),
+                         runtime::MakeLabel({{"k", Field::Int(k % 997)}})}));
+  }
+  runtime::spill::SpillConfig cfg;
+  cfg.dir = std::filesystem::temp_directory_path().string();
+  runtime::spill::SpillManager manager(cfg);
+  uint64_t bytes = 0;
+  for (auto _ : state) {
+    runtime::spill::SpillCounters c;
+    TRANCE_CHECK(
+        manager.SpillAndRestoreBlock(1, "bench", 0, schema, &block, &c).ok(),
+        "spill bench round trip");
+    TRANCE_CHECK(block.NumRows() == static_cast<size_t>(state.range(0)),
+                 "spill bench row count");
+    bytes = c.bytes_written + c.bytes_read;
+    benchmark::DoNotOptimize(bytes);
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(bytes));
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_SpillBlockRoundTrip)->Arg(65536);
 
 void BM_ValueShred(benchmark::State& state) {
   nrc::Value v = MakeNested(state.range(0), 10, 10);

@@ -6,21 +6,6 @@ namespace trance {
 namespace runtime {
 namespace column {
 
-namespace {
-
-bool FieldMatchesKind(const Field& f, AnyColumn::Kind k) {
-  switch (k) {
-    case AnyColumn::Kind::kInt64: return f.is_int();
-    case AnyColumn::Kind::kReal: return f.is_real();
-    case AnyColumn::Kind::kBool: return f.is_bool();
-    case AnyColumn::Kind::kString: return f.is_string();
-    case AnyColumn::Kind::kVariant: return true;
-  }
-  return true;
-}
-
-}  // namespace
-
 void AnyColumn::DemoteToVariant() {
   size_t n = size();
   std::vector<Field> cells;

@@ -26,6 +26,7 @@
 #include "runtime/field.h"
 #include "runtime/schema.h"
 #include "util/hash.h"
+#include "util/status.h"
 
 namespace trance {
 namespace runtime {
@@ -83,6 +84,15 @@ class NullBitmap {
   bool IsNull(size_t i) const {
     return (words_[i / 64] >> (i % 64)) & 1;
   }
+  /// The `count` (<= 64) bits starting at bit `first`, packed from bit 0;
+  /// first + count must not exceed size().
+  uint64_t BitsAt(size_t first, size_t count) const {
+    if (count == 0) return 0;
+    size_t w = first / 64, off = first % 64;
+    uint64_t bits = words_[w] >> off;
+    if (off != 0 && w + 1 < words_.size()) bits |= words_[w + 1] << (64 - off);
+    return count == 64 ? bits : bits & ((uint64_t{1} << count) - 1);
+  }
   bool any() const { return any_; }
   size_t size() const { return size_; }
   uint64_t ByteFootprint() const { return words_.capacity() * sizeof(uint64_t); }
@@ -115,6 +125,19 @@ class AnyColumn {
     return Kind::kVariant;
   }
 
+  /// True iff a non-NULL `f` can be stored in a column of kind `k` without
+  /// demoting it to kVariant.
+  static bool FieldMatchesKind(const Field& f, Kind k) {
+    switch (k) {
+      case Kind::kInt64: return f.is_int();
+      case Kind::kReal: return f.is_real();
+      case Kind::kBool: return f.is_bool();
+      case Kind::kString: return f.is_string();
+      case Kind::kVariant: return true;
+    }
+    return true;
+  }
+
   explicit AnyColumn(Kind kind = Kind::kVariant) : kind_(kind) {}
 
   Kind kind() const { return kind_; }
@@ -128,6 +151,27 @@ class AnyColumn {
   /// Typed-copy append from another column; falls back to Append(At(i)) when
   /// the kinds differ.
   void AppendFrom(const AnyColumn& src, size_t i);
+
+  // Typed appends for column-wise bulk loads (the spill restore). The column
+  // must already be of the matching kind; a NULL cell stores the default
+  // value slot, exactly as Append(Field::Null()) does, so the storage and
+  // its growth sequence equal per-Field appends of the same cells.
+  void AppendInt(int64_t v, bool null) {
+    ints_.Append(null ? 0 : v);
+    nulls_.Append(null);
+  }
+  void AppendReal(double v, bool null) {
+    reals_.Append(null ? 0.0 : v);
+    nulls_.Append(null);
+  }
+  void AppendBool(bool v, bool null) {
+    bools_.Append(!null && v ? 1 : 0);
+    nulls_.Append(null);
+  }
+  void AppendString(std::string_view s, bool null) {
+    strs_.Append(null ? std::string_view() : s);
+    nulls_.Append(null);
+  }
 
   bool IsNull(size_t i) const { return nulls_.IsNull(i); }
 
@@ -149,6 +193,7 @@ class AnyColumn {
   const double* reals() const { return reals_.data(); }
   const uint8_t* bools() const { return bools_.data(); }
   const StringColumn& strings() const { return strs_; }
+  const Field* variants() const { return variant_.data(); }
   const NullBitmap& nulls() const { return nulls_; }
 
  private:
@@ -181,6 +226,19 @@ class PartitionBlock {
   /// Column-wise copy of row i of src. Falls back to AppendRow when either
   /// block is ragged or the widths differ.
   void AppendRowFrom(const PartitionBlock& src, size_t i);
+  /// Column-wise bulk append of n rows: fill(c, &column) appends exactly n
+  /// cells to column c. Only for a non-ragged block; column order does not
+  /// matter, since each column grows independently of the others.
+  template <typename Fill>
+  void AppendColumns(size_t n, Fill&& fill) {
+    TRANCE_CHECK(!ragged_mode_, "PartitionBlock::AppendColumns: ragged block");
+    for (size_t c = 0; c < cols_.size(); ++c) {
+      fill(c, &cols_[c]);
+      TRANCE_CHECK(cols_[c].size() == num_rows_ + n,
+                   "PartitionBlock::AppendColumns: column length mismatch");
+    }
+    num_rows_ += n;
+  }
 
   size_t NumRows() const { return ragged_mode_ ? ragged_.size() : num_rows_; }
   size_t NumCols() const { return cols_.size(); }

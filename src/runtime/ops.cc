@@ -452,9 +452,9 @@ StatusOr<ShuffledParts> ShuffleByKey(Cluster* cluster, const Dataset& in,
       runs.push_back(std::move(path));
     }
     // One merge pass: streaming the runs in write order restores the exact
-    // source-order concatenation. ReadRunIntoBlock replays the same per-row
-    // append sequence the in-memory concatenation performs, so the restored
-    // block's footprint equals the never-spilled one.
+    // source-order concatenation. ReadRunIntoBlock appends column by column
+    // with the same per-cell sequence the in-memory concatenation performs,
+    // so the restored block's footprint equals the never-spilled one.
     for (const std::string& path : runs) {
       if (columnar) {
         TRANCE_RETURN_NOT_OK(

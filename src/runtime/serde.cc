@@ -8,6 +8,8 @@
 #include <cerrno>
 #include <cstring>
 #include <limits>
+#include <memory>
+#include <string_view>
 
 namespace trance {
 namespace runtime {
@@ -99,6 +101,12 @@ Status BufferedFileWriter::Append(const void* data, size_t n) {
   if (fd_ < 0) return Status::Internal("serde: write on closed file");
   const char* p = static_cast<const char*>(data);
   while (n > 0) {
+    if (used_ == 0 && n >= buf_.size()) {
+      // Large appends bypass the buffer: straight from the caller's bytes.
+      TRANCE_RETURN_NOT_OK(WriteFully(p, n));
+      bytes_written_ += n;
+      return Status::OK();
+    }
     if (used_ == buf_.size()) {
       Status s = Flush();
       if (!s.ok()) return s;
@@ -113,16 +121,21 @@ Status BufferedFileWriter::Append(const void* data, size_t n) {
   return Status::OK();
 }
 
-Status BufferedFileWriter::Flush() {
+Status BufferedFileWriter::WriteFully(const char* p, size_t n) {
   size_t off = 0;
-  while (off < used_) {
-    ssize_t w = ::write(fd_, buf_.data() + off, used_ - off);
+  while (off < n) {
+    ssize_t w = ::write(fd_, p + off, n - off);
     if (w < 0) {
       if (errno == EINTR) continue;
       return Status::Internal(Errno("serde: write failed on", path_));
     }
     off += static_cast<size_t>(w);
   }
+  return Status::OK();
+}
+
+Status BufferedFileWriter::Flush() {
+  TRANCE_RETURN_NOT_OK(WriteFully(buf_.data(), used_));
   used_ = 0;
   return Status::OK();
 }
@@ -181,12 +194,28 @@ Status BufferedFileReader::Read(void* dst, size_t n) {
   char* p = static_cast<char*>(dst);
   while (n > 0) {
     if (pos_ == used_) {
-      Status s = Refill();
-      if (!s.ok()) return s;
-      if (used_ == 0) {
+      size_t got = 0;
+      if (n >= buf_.size()) {
+        // Large reads bypass the buffer: straight from the descriptor.
+        ssize_t r = ::read(fd_, p, n);
+        if (r < 0) {
+          if (errno == EINTR) continue;
+          return Status::Internal(Errno("serde: read failed on", path_));
+        }
+        got = static_cast<size_t>(r);
+        p += got;
+        n -= got;
+        bytes_read_ += got;
+      } else {
+        Status s = Refill();
+        if (!s.ok()) return s;
+        got = used_;
+      }
+      if (got == 0) {
         return Status::Invalid("serde: truncated file '" + path_ + "' (" +
                                std::to_string(n) + " bytes missing)");
       }
+      continue;
     }
     size_t take = std::min(n, used_ - pos_);
     std::memcpy(p, buf_.data() + pos_, take);
@@ -271,7 +300,9 @@ Status ParseRow(const char* data, size_t size, size_t* pos, Row* out) {
   uint32_t nfields = 0;
   TRANCE_RETURN_NOT_OK(ParsePod(data, size, pos, &nfields, "row width"));
   out->fields.clear();
-  out->fields.reserve(nfields);
+  // Every encoded field takes at least one byte: bound the reserve by what
+  // the payload can hold, not by a possibly corrupt width.
+  out->fields.reserve(std::min<size_t>(nfields, size - *pos));
   for (uint32_t i = 0; i < nfields; ++i) {
     Field f;
     TRANCE_RETURN_NOT_OK(ParseField(data, size, pos, &f));
@@ -321,7 +352,8 @@ Status ParseField(const char* data, size_t size, size_t* pos, Field* out) {
       uint32_t nparams = 0;
       TRANCE_RETURN_NOT_OK(ParsePod(data, size, pos, &nparams, "label arity"));
       auto label = std::make_shared<RtLabel>();
-      label->params.reserve(nparams);
+      // Each param takes at least a name length and a field tag.
+      label->params.reserve(std::min<size_t>(nparams, (size - *pos) / 5));
       for (uint32_t i = 0; i < nparams; ++i) {
         uint32_t name_len = 0;
         TRANCE_RETURN_NOT_OK(
@@ -365,218 +397,397 @@ void AppendRowBatchPayload(const std::vector<Row>& rows, std::string* out) {
   }
 }
 
+namespace {
+
+using Kind = column::AnyColumn::Kind;
+
+void AppendBlockHeader(size_t ncols, size_t rows, bool ragged,
+                       std::string* out) {
+  AppendU32(static_cast<uint32_t>(ncols), out);
+  AppendU64(rows, out);
+  AppendU8(ragged ? 1 : 0, out);
+}
+
+/// The kind a fresh column of kind `start` ends in after AnyColumn::Append
+/// of rows [begin, end) of `col` (what PartitionBlock::AppendRowFrom does):
+/// `start`, unless some non-NULL cell does not fit it, which demotes the
+/// column to kVariant.
+Kind SliceKind(const column::AnyColumn& col, Kind start, size_t begin,
+               size_t end) {
+  if (start == col.kind() || start == Kind::kVariant) return start;
+  for (size_t i = begin; i < end; ++i) {
+    if (col.IsNull(i)) continue;
+    if (col.kind() != Kind::kVariant ||
+        !column::AnyColumn::FieldMatchesKind(col.variants()[i], start)) {
+      return Kind::kVariant;
+    }
+  }
+  return start;
+}
+
+/// Encodes rows [begin, end) of `col` as one block-record column of kind
+/// `kind` (col.kind(), or the SliceKind of a chunk). The bytes equal
+/// AppendBlockPayload's column of a block holding just those cells: NULLs
+/// keep their default value slot, typed cells copy straight from the source
+/// arrays, and a typed `kind` differing from col.kind() only arises when
+/// every non-NULL cell is a variant Field of that kind.
+void AppendColumnSlice(const column::AnyColumn& col, Kind kind, size_t begin,
+                       size_t end, std::string* out) {
+  const size_t rows = end - begin;
+  const column::NullBitmap& nulls = col.nulls();
+  bool has_nulls = false;
+  for (size_t i = begin; nulls.any() && i < end && !has_nulls; i += 64) {
+    has_nulls = nulls.BitsAt(i, std::min<size_t>(64, end - i)) != 0;
+  }
+  AppendU8(has_nulls ? 1 : 0, out);
+  if (has_nulls) {
+    for (size_t i = begin; i < end; i += 64) {
+      AppendU64(nulls.BitsAt(i, std::min<size_t>(64, end - i)), out);
+    }
+  }
+  const bool direct = kind == col.kind();
+  const Field* cells = col.variants();
+  switch (kind) {
+    case Kind::kInt64:
+      AppendU8(kColInt64, out);
+      if (direct) {
+        out->append(reinterpret_cast<const char*>(col.ints() + begin),
+                    rows * sizeof(int64_t));
+      } else {
+        for (size_t i = begin; i < end; ++i) {
+          AppendPod<int64_t>(col.IsNull(i) ? 0 : cells[i].AsInt(), out);
+        }
+      }
+      break;
+    case Kind::kReal:
+      AppendU8(kColReal, out);
+      if (direct) {
+        out->append(reinterpret_cast<const char*>(col.reals() + begin),
+                    rows * sizeof(double));
+      } else {
+        for (size_t i = begin; i < end; ++i) {
+          AppendPod<double>(col.IsNull(i) ? 0.0 : cells[i].AsReal(), out);
+        }
+      }
+      break;
+    case Kind::kBool:
+      AppendU8(kColBool, out);
+      if (direct) {
+        out->append(reinterpret_cast<const char*>(col.bools() + begin), rows);
+      } else {
+        for (size_t i = begin; i < end; ++i) {
+          AppendU8(!col.IsNull(i) && cells[i].AsBool() ? 1 : 0, out);
+        }
+      }
+      break;
+    case Kind::kString: {
+      AppendU8(kColString, out);
+      auto str = [&](size_t i) -> std::string_view {
+        if (direct) return col.strings().At(i);
+        return col.IsNull(i) ? std::string_view() : cells[i].AsString();
+      };
+      uint64_t chars = 0;
+      for (size_t i = begin; i < end; ++i) chars += str(i).size();
+      AppendU64(chars, out);
+      if (direct) {
+        // The arena is contiguous, so the slice's characters are one append.
+        if (chars > 0) out->append(str(begin).data(), chars);
+      } else {
+        for (size_t i = begin; i < end; ++i) out->append(str(i));
+      }
+      uint64_t offset = 0;
+      for (size_t i = begin; i < end; ++i) {
+        offset += str(i).size();
+        AppendU64(offset, out);
+      }
+      break;
+    }
+    case Kind::kVariant:
+      AppendU8(kColVariant, out);
+      for (size_t i = begin; i < end; ++i) {
+        if (col.kind() == Kind::kVariant) {
+          AppendField(cells[i], out);
+        } else {
+          AppendField(col.At(i), out);
+        }
+      }
+      break;
+  }
+}
+
+}  // namespace
+
 void AppendBlockPayload(const column::PartitionBlock& block,
                         std::string* out) {
+  const size_t rows = block.NumRows();
   if (block.ragged()) {
-    AppendU32(0, out);  // num_cols = 0 marks the ragged row fallback
-    AppendU64(block.NumRows(), out);
-    AppendU8(1, out);
-    for (size_t i = 0; i < block.NumRows(); ++i) {
+    AppendBlockHeader(0, rows, true, out);  // num_cols = 0: row fallback
+    for (size_t i = 0; i < rows; ++i) {
       Row r = block.RowAt(i);
       AppendU32(static_cast<uint32_t>(r.fields.size()), out);
       for (const Field& f : r.fields) AppendField(f, out);
     }
     return;
   }
-  size_t rows = block.NumRows();
-  AppendU32(static_cast<uint32_t>(block.NumCols()), out);
-  AppendU64(rows, out);
-  AppendU8(0, out);
-  size_t words = (rows + 63) / 64;
+  AppendBlockHeader(block.NumCols(), rows, false, out);
   for (size_t c = 0; c < block.NumCols(); ++c) {
-    const column::AnyColumn& col = block.col(c);
-    bool has_nulls = col.nulls().any();
-    AppendU8(has_nulls ? 1 : 0, out);
-    if (has_nulls) {
-      for (size_t w = 0; w < words; ++w) {
-        uint64_t word = 0;
-        for (size_t b = 0; b < 64; ++b) {
-          size_t i = w * 64 + b;
-          if (i < rows && col.IsNull(i)) word |= uint64_t{1} << b;
-        }
-        AppendU64(word, out);
-      }
-    }
-    switch (col.kind()) {
-      case column::AnyColumn::Kind::kInt64:
-        AppendU8(kColInt64, out);
-        out->append(reinterpret_cast<const char*>(col.ints()),
-                    rows * sizeof(int64_t));
-        break;
-      case column::AnyColumn::Kind::kReal:
-        AppendU8(kColReal, out);
-        out->append(reinterpret_cast<const char*>(col.reals()),
-                    rows * sizeof(double));
-        break;
-      case column::AnyColumn::Kind::kBool:
-        AppendU8(kColBool, out);
-        out->append(reinterpret_cast<const char*>(col.bools()), rows);
-        break;
-      case column::AnyColumn::Kind::kString: {
-        AppendU8(kColString, out);
-        const column::StringColumn& s = col.strings();
-        uint64_t chars = 0;
-        for (size_t i = 0; i < rows; ++i) chars += s.At(i).size();
-        AppendU64(chars, out);
-        // The arena is contiguous and value 0 starts at offset 0, so the
-        // whole character region is one append.
-        if (chars > 0) out->append(s.At(0).data(), chars);
-        uint64_t end = 0;
-        for (size_t i = 0; i < rows; ++i) {
-          end += s.At(i).size();
-          AppendU64(end, out);
-        }
-        break;
-      }
-      case column::AnyColumn::Kind::kVariant:
-        AppendU8(kColVariant, out);
-        for (size_t i = 0; i < rows; ++i) AppendField(col.At(i), out);
-        break;
-    }
+    AppendColumnSlice(block.col(c), block.col(c).kind(), 0, rows, out);
   }
 }
 
-Status ParseRecordPayload(uint8_t kind, const std::string& payload,
-                          std::vector<Row>* out) {
-  const char* data = payload.data();
-  size_t size = payload.size();
-  size_t pos = 0;
-  if (kind == kRecordRowBatch) {
-    uint64_t nrows = 0;
-    TRANCE_RETURN_NOT_OK(ParsePod(data, size, &pos, &nrows, "batch size"));
-    out->reserve(out->size() +
-                 static_cast<size_t>(std::min<uint64_t>(nrows, 1 << 20)));
-    for (uint64_t i = 0; i < nrows; ++i) {
-      Row r;
-      TRANCE_RETURN_NOT_OK(ParseRow(data, size, &pos, &r));
-      out->push_back(std::move(r));
-    }
-  } else if (kind == kRecordBlock) {
-    uint32_t ncols = 0;
-    uint64_t nrows = 0;
-    uint8_t ragged = 0;
-    TRANCE_RETURN_NOT_OK(ParsePod(data, size, &pos, &ncols, "column count"));
-    TRANCE_RETURN_NOT_OK(ParsePod(data, size, &pos, &nrows, "row count"));
-    TRANCE_RETURN_NOT_OK(ParsePod(data, size, &pos, &ragged, "ragged flag"));
-    size_t n = static_cast<size_t>(nrows);
-    if (ragged != 0) {
-      out->reserve(out->size() + std::min<size_t>(n, 1 << 20));
-      for (size_t i = 0; i < n; ++i) {
-        Row r;
-        TRANCE_RETURN_NOT_OK(ParseRow(data, size, &pos, &r));
-        out->push_back(std::move(r));
-      }
-    } else {
-      // Decode column-wise into a cell matrix, then emit rows. Null cells
-      // override the stored default value slot, matching AnyColumn::At.
-      std::vector<std::vector<Field>> cols(ncols);
-      std::vector<std::vector<uint64_t>> null_words(ncols);
-      size_t words = (n + 63) / 64;
-      for (uint32_t c = 0; c < ncols; ++c) {
-        uint8_t has_nulls = 0;
-        TRANCE_RETURN_NOT_OK(
-            ParsePod(data, size, &pos, &has_nulls, "null flag"));
-        if (has_nulls) {
-          null_words[c].resize(words);
-          for (size_t w = 0; w < words; ++w) {
-            TRANCE_RETURN_NOT_OK(
-                ParsePod(data, size, &pos, &null_words[c][w], "null bitmap"));
-          }
-        }
-        auto is_null = [&](size_t i) {
-          return has_nulls && ((null_words[c][i / 64] >> (i % 64)) & 1) != 0;
-        };
-        uint8_t col_kind = 0;
-        TRANCE_RETURN_NOT_OK(
-            ParsePod(data, size, &pos, &col_kind, "column kind"));
-        std::vector<Field>& cells = cols[c];
-        cells.reserve(std::min<size_t>(n, 1 << 20));
-        switch (col_kind) {
-          case kColInt64:
-            for (size_t i = 0; i < n; ++i) {
-              int64_t v = 0;
-              TRANCE_RETURN_NOT_OK(
-                  ParsePod(data, size, &pos, &v, "int column"));
-              cells.push_back(is_null(i) ? Field::Null() : Field::Int(v));
-            }
-            break;
-          case kColReal:
-            for (size_t i = 0; i < n; ++i) {
-              uint64_t bits = 0;
-              TRANCE_RETURN_NOT_OK(
-                  ParsePod(data, size, &pos, &bits, "real column"));
-              double v;
-              std::memcpy(&v, &bits, sizeof(v));
-              cells.push_back(is_null(i) ? Field::Null() : Field::Real(v));
-            }
-            break;
-          case kColBool:
-            for (size_t i = 0; i < n; ++i) {
-              uint8_t v = 0;
-              TRANCE_RETURN_NOT_OK(
-                  ParsePod(data, size, &pos, &v, "bool column"));
-              cells.push_back(is_null(i) ? Field::Null()
-                                         : Field::Bool(v != 0));
-            }
-            break;
-          case kColString: {
-            uint64_t chars = 0;
-            TRANCE_RETURN_NOT_OK(
-                ParsePod(data, size, &pos, &chars, "string arena length"));
-            if (size - pos < chars) return Truncated("string arena");
-            size_t arena_begin = pos;
-            pos += static_cast<size_t>(chars);
-            uint64_t prev = 0;
-            for (size_t i = 0; i < n; ++i) {
-              uint64_t end = 0;
-              TRANCE_RETURN_NOT_OK(
-                  ParsePod(data, size, &pos, &end, "string offsets"));
-              if (end < prev || end > chars) {
-                return Status::Invalid(
-                    "serde: corrupt string offsets (non-monotonic or out of "
-                    "arena)");
-              }
-              cells.push_back(
-                  is_null(i)
-                      ? Field::Null()
-                      : Field::Str(std::string(
-                            data + arena_begin + static_cast<size_t>(prev),
-                            static_cast<size_t>(end - prev))));
-              prev = end;
-            }
-            break;
-          }
-          case kColVariant:
-            for (size_t i = 0; i < n; ++i) {
-              Field f;
-              TRANCE_RETURN_NOT_OK(ParseField(data, size, &pos, &f));
-              cells.push_back(std::move(f));
-            }
-            break;
-          default:
-            return Status::Invalid("serde: unknown column kind " +
-                                   std::to_string(static_cast<int>(col_kind)));
-        }
-      }
-      out->reserve(out->size() + std::min<size_t>(n, 1 << 20));
-      for (size_t i = 0; i < n; ++i) {
-        Row r;
-        r.fields.reserve(ncols);
-        for (uint32_t c = 0; c < ncols; ++c) {
-          r.fields.push_back(std::move(cols[c][i]));
-        }
-        out->push_back(std::move(r));
-      }
-    }
-  } else {
-    return Status::Invalid("serde: unknown record kind " +
-                           std::to_string(static_cast<int>(kind)));
+void AppendBlockSlicePayload(const column::PartitionBlock& block,
+                             const Schema& schema, size_t begin, size_t end,
+                             std::string* out) {
+  if (block.ragged() || block.NumCols() != schema.size()) {
+    // Row fallback: the chunk AppendRowFrom builds may itself stay columnar
+    // or go ragged, depending on the widths inside the range.
+    column::PartitionBlock chunk(schema);
+    for (size_t i = begin; i < end; ++i) chunk.AppendRowFrom(block, i);
+    AppendBlockPayload(chunk, out);
+    return;
   }
+  AppendBlockHeader(schema.size(), end - begin, false, out);
+  for (size_t c = 0; c < schema.size(); ++c) {
+    const column::AnyColumn& col = block.col(c);
+    Kind start = column::AnyColumn::KindForType(schema.columns()[c].type);
+    AppendColumnSlice(col, SliceKind(col, start, begin, end), begin, end,
+                      out);
+  }
+}
+
+namespace {
+
+template <typename T>
+T LoadPod(const char* base, size_t i) {
+  T v;
+  std::memcpy(&v, base + i * sizeof(T), sizeof(T));
+  return v;
+}
+
+/// One column of a validated non-ragged block record: views into the
+/// payload for typed kinds, parsed cells for the variant kind.
+struct ColumnView {
+  uint8_t kind = 0;
+  const char* null_words = nullptr;  // nullptr when the column has no NULLs
+  const char* values = nullptr;      // typed values, or string end offsets
+  const char* arena = nullptr;       // string characters
+  std::vector<Field> cells;          // variant cells
+
+  bool IsNull(size_t i) const {
+    return null_words != nullptr &&
+           ((LoadPod<uint64_t>(null_words, i / 64) >> (i % 64)) & 1) != 0;
+  }
+  std::string_view Str(size_t i) const {
+    uint64_t begin = i == 0 ? 0 : LoadPod<uint64_t>(values, i - 1);
+    uint64_t end = LoadPod<uint64_t>(values, i);
+    return std::string_view(arena + begin, static_cast<size_t>(end - begin));
+  }
+  /// Cell i as the row path materializes it: a NULL bit overrides a typed
+  /// cell's stored slot; variant cells are moved out as parsed.
+  Field TakeField(size_t i) {
+    if (kind == kColVariant) return std::move(cells[i]);
+    if (IsNull(i)) return Field::Null();
+    switch (kind) {
+      case kColInt64: return Field::Int(LoadPod<int64_t>(values, i));
+      case kColReal: return Field::Real(LoadPod<double>(values, i));
+      case kColBool: return Field::Bool(LoadPod<uint8_t>(values, i) != 0);
+      default: return Field::Str(std::string(Str(i)));
+    }
+  }
+};
+
+/// A fully validated kRecordBlock payload.
+struct BlockRecord {
+  size_t nrows = 0;
+  bool ragged = false;
+  std::vector<Row> rows;          // ragged records
+  std::vector<ColumnView> cols;   // columnar records
+};
+
+Status ParseColumn(const char* data, size_t size, size_t* pos, size_t n,
+                   ColumnView* col) {
+  uint8_t has_nulls = 0;
+  TRANCE_RETURN_NOT_OK(ParsePod(data, size, pos, &has_nulls, "null flag"));
+  if (has_nulls != 0) {
+    size_t words = n / 64 + (n % 64 != 0 ? 1 : 0);
+    if (words > (size - *pos) / 8) return Truncated("null bitmap");
+    col->null_words = data + *pos;
+    *pos += words * 8;
+  }
+  TRANCE_RETURN_NOT_OK(ParsePod(data, size, pos, &col->kind, "column kind"));
+  switch (col->kind) {
+    case kColInt64:
+    case kColReal:
+      if (n > (size - *pos) / 8) {
+        return Truncated(col->kind == kColInt64 ? "int column" : "real column");
+      }
+      col->values = data + *pos;
+      *pos += n * 8;
+      return Status::OK();
+    case kColBool:
+      if (n > size - *pos) return Truncated("bool column");
+      col->values = data + *pos;
+      *pos += n;
+      return Status::OK();
+    case kColString: {
+      uint64_t chars = 0;
+      TRANCE_RETURN_NOT_OK(
+          ParsePod(data, size, pos, &chars, "string arena length"));
+      if (size - *pos < chars) return Truncated("string arena");
+      col->arena = data + *pos;
+      *pos += static_cast<size_t>(chars);
+      if (n > (size - *pos) / 8) return Truncated("string offsets");
+      col->values = data + *pos;
+      *pos += n * 8;
+      uint64_t prev = 0;
+      for (size_t i = 0; i < n; ++i) {
+        uint64_t end = LoadPod<uint64_t>(col->values, i);
+        if (end < prev || end > chars) {
+          return Status::Invalid(
+              "serde: corrupt string offsets (non-monotonic or out of arena)");
+        }
+        prev = end;
+      }
+      return Status::OK();
+    }
+    case kColVariant:
+      // Every encoded field takes at least one byte: bound the reserve by
+      // what the payload can hold, not by a possibly corrupt row count.
+      col->cells.reserve(std::min(n, size - *pos));
+      for (size_t i = 0; i < n; ++i) {
+        Field f;
+        TRANCE_RETURN_NOT_OK(ParseField(data, size, pos, &f));
+        col->cells.push_back(std::move(f));
+      }
+      return Status::OK();
+    default:
+      return Status::Invalid("serde: unknown column kind " +
+                             std::to_string(static_cast<int>(col->kind)));
+  }
+}
+
+Status CheckConsumed(size_t pos, size_t size) {
   if (pos != size) {
     return Status::Invalid("serde: record payload has " +
                            std::to_string(size - pos) + " trailing bytes");
   }
   return Status::OK();
+}
+
+/// Validates a whole block record — header, every bitmap, value region,
+/// string offset and variant field, and trailing bytes — before any caller
+/// appends a cell of it.
+Status ParseBlockRecord(const char* data, size_t size, BlockRecord* rec) {
+  size_t pos = 0;
+  uint32_t ncols = 0;
+  uint64_t nrows = 0;
+  uint8_t ragged = 0;
+  TRANCE_RETURN_NOT_OK(ParsePod(data, size, &pos, &ncols, "column count"));
+  TRANCE_RETURN_NOT_OK(ParsePod(data, size, &pos, &nrows, "row count"));
+  TRANCE_RETURN_NOT_OK(ParsePod(data, size, &pos, &ragged, "ragged flag"));
+  rec->nrows = static_cast<size_t>(nrows);
+  rec->ragged = ragged != 0;
+  if (rec->ragged) {
+    // Each row spends at least its width field.
+    rec->rows.reserve(std::min(rec->nrows, (size - pos) / 4));
+    for (size_t i = 0; i < rec->nrows; ++i) {
+      Row r;
+      TRANCE_RETURN_NOT_OK(ParseRow(data, size, &pos, &r));
+      rec->rows.push_back(std::move(r));
+    }
+  } else {
+    // Each column spends at least its null flag and kind byte.
+    if (ncols > (size - pos) / 2) return Truncated("column headers");
+    rec->cols.resize(ncols);
+    for (ColumnView& col : rec->cols) {
+      TRANCE_RETURN_NOT_OK(ParseColumn(data, size, &pos, rec->nrows, &col));
+    }
+  }
+  return CheckConsumed(pos, size);
+}
+
+/// Appends a validated record's rows to *out.
+void AppendRecordRows(BlockRecord* rec, std::vector<Row>* out) {
+  out->reserve(out->size() + std::min<size_t>(rec->nrows, 1 << 20));
+  if (rec->ragged) {
+    for (Row& r : rec->rows) out->push_back(std::move(r));
+    return;
+  }
+  for (size_t i = 0; i < rec->nrows; ++i) {
+    Row r;
+    r.fields.reserve(rec->cols.size());
+    for (ColumnView& col : rec->cols) r.fields.push_back(col.TakeField(i));
+    out->push_back(std::move(r));
+  }
+}
+
+/// Appends a validated columnar record to a non-ragged block of the same
+/// width, column by column. Typed cells go straight into a destination
+/// column of the matching kind; variant cells, and typed cells whose kind
+/// differs from the destination's, take AnyColumn::Append(Field), which
+/// replays the row path's demotion exactly.
+void AppendRecordColumns(BlockRecord* rec, column::PartitionBlock* out) {
+  const size_t n = rec->nrows;
+  out->AppendColumns(n, [&](size_t c, column::AnyColumn* dst) {
+    ColumnView& v = rec->cols[c];
+    switch (v.kind) {
+      case kColInt64:
+        if (dst->kind() != Kind::kInt64) break;
+        for (size_t i = 0; i < n; ++i) {
+          dst->AppendInt(LoadPod<int64_t>(v.values, i), v.IsNull(i));
+        }
+        return;
+      case kColReal:
+        if (dst->kind() != Kind::kReal) break;
+        for (size_t i = 0; i < n; ++i) {
+          dst->AppendReal(LoadPod<double>(v.values, i), v.IsNull(i));
+        }
+        return;
+      case kColBool:
+        if (dst->kind() != Kind::kBool) break;
+        for (size_t i = 0; i < n; ++i) {
+          dst->AppendBool(LoadPod<uint8_t>(v.values, i) != 0, v.IsNull(i));
+        }
+        return;
+      case kColString:
+        if (dst->kind() != Kind::kString) break;
+        for (size_t i = 0; i < n; ++i) dst->AppendString(v.Str(i), v.IsNull(i));
+        return;
+    }
+    for (size_t i = 0; i < n; ++i) dst->Append(v.TakeField(i));
+  });
+}
+
+Status ParsePayload(uint8_t kind, const char* data, size_t size,
+                    std::vector<Row>* out) {
+  if (kind == kRecordBlock) {
+    BlockRecord rec;
+    TRANCE_RETURN_NOT_OK(ParseBlockRecord(data, size, &rec));
+    AppendRecordRows(&rec, out);
+    return Status::OK();
+  }
+  if (kind != kRecordRowBatch) {
+    return Status::Invalid("serde: unknown record kind " +
+                           std::to_string(static_cast<int>(kind)));
+  }
+  size_t pos = 0;
+  uint64_t nrows = 0;
+  TRANCE_RETURN_NOT_OK(ParsePod(data, size, &pos, &nrows, "batch size"));
+  out->reserve(out->size() +
+               static_cast<size_t>(std::min<uint64_t>(nrows, 1 << 20)));
+  for (uint64_t i = 0; i < nrows; ++i) {
+    Row r;
+    TRANCE_RETURN_NOT_OK(ParseRow(data, size, &pos, &r));
+    out->push_back(std::move(r));
+  }
+  return CheckConsumed(pos, size);
+}
+
+}  // namespace
+
+Status ParseRecordPayload(uint8_t kind, const std::string& payload,
+                          std::vector<Row>* out) {
+  return ParsePayload(kind, payload.data(), payload.size(), out);
 }
 
 // --- file-level writer / reader ------------------------------------------
@@ -591,18 +802,25 @@ Status BlockFileWriter::Open(const std::string& path, size_t buffer_bytes) {
 }
 
 Status BlockFileWriter::WriteRecord(uint8_t kind, const std::string& payload) {
-  std::string frame;
-  frame.reserve(payload.size() + 17);
-  AppendU8(kind, &frame);
-  AppendU64(payload.size(), &frame);
-  frame.append(payload);
-  AppendU64(Fnv1a64(payload.data(), payload.size()), &frame);
-  return out_.Append(frame.data(), frame.size());
+  const uint64_t len = payload.size();
+  const uint64_t sum = Fnv1a64(payload.data(), payload.size());
+  TRANCE_RETURN_NOT_OK(out_.Append(&kind, sizeof(kind)));
+  TRANCE_RETURN_NOT_OK(out_.Append(&len, sizeof(len)));
+  TRANCE_RETURN_NOT_OK(out_.Append(payload.data(), payload.size()));
+  return out_.Append(&sum, sizeof(sum));
 }
 
 Status BlockFileWriter::WriteBlock(const column::PartitionBlock& block) {
   std::string payload;
   AppendBlockPayload(block, &payload);
+  return WriteRecord(kRecordBlock, payload);
+}
+
+Status BlockFileWriter::WriteBlockSlice(const column::PartitionBlock& block,
+                                        const Schema& schema, size_t begin,
+                                        size_t end) {
+  std::string payload;
+  AppendBlockSlicePayload(block, schema, begin, end, &payload);
   return WriteRecord(kRecordBlock, payload);
 }
 
@@ -634,8 +852,7 @@ Status BlockFileReader::Open(const std::string& path, size_t buffer_bytes) {
   return Status::OK();
 }
 
-StatusOr<bool> BlockFileReader::ReadRecord(uint8_t* kind,
-                                           std::string* payload) {
+StatusOr<bool> BlockFileReader::ReadRecord(uint8_t* kind) {
   TRANCE_ASSIGN_OR_RETURN(bool eof, in_.AtEof());
   if (eof) return false;
   uint64_t payload_len = 0;
@@ -655,11 +872,16 @@ StatusOr<bool> BlockFileReader::ReadRecord(uint8_t* kind,
         std::to_string(payload_len) + " payload bytes with only " +
         std::to_string(remaining) + " bytes left in the file");
   }
-  payload->assign(static_cast<size_t>(payload_len), '\0');
-  TRANCE_RETURN_NOT_OK(in_.Read(payload->data(), payload->size()));
+  payload_size_ = static_cast<size_t>(payload_len);
+  if (payload_size_ > payload_capacity_) {
+    // Grown, never zero-filled: Read overwrites every byte that is parsed.
+    payload_ = std::make_unique_for_overwrite<char[]>(payload_size_);
+    payload_capacity_ = payload_size_;
+  }
+  TRANCE_RETURN_NOT_OK(in_.Read(payload_.get(), payload_size_));
   uint64_t stored_sum = 0;
   TRANCE_RETURN_NOT_OK(in_.Read(&stored_sum, sizeof(stored_sum)));
-  uint64_t actual_sum = Fnv1a64(payload->data(), payload->size());
+  uint64_t actual_sum = Fnv1a64(payload_.get(), payload_size_);
   if (stored_sum != actual_sum) {
     return Status::Invalid("serde: checksum mismatch (stored " +
                            std::to_string(stored_sum) + ", computed " +
@@ -671,10 +893,10 @@ StatusOr<bool> BlockFileReader::ReadRecord(uint8_t* kind,
 StatusOr<bool> BlockFileReader::ReadBatch(std::vector<Row>* out,
                                           uint8_t* kind) {
   uint8_t record_kind = 0;
-  std::string payload;
-  TRANCE_ASSIGN_OR_RETURN(bool more, ReadRecord(&record_kind, &payload));
+  TRANCE_ASSIGN_OR_RETURN(bool more, ReadRecord(&record_kind));
   if (!more) return false;
-  TRANCE_RETURN_NOT_OK(ParseRecordPayload(record_kind, payload, out));
+  TRANCE_RETURN_NOT_OK(
+      ParsePayload(record_kind, payload_.get(), payload_size_, out));
   if (kind != nullptr) *kind = record_kind;
   return true;
 }
@@ -682,11 +904,23 @@ StatusOr<bool> BlockFileReader::ReadBatch(std::vector<Row>* out,
 StatusOr<bool> BlockFileReader::ReadBatchInto(column::PartitionBlock* out,
                                               uint8_t* kind) {
   uint8_t record_kind = 0;
-  std::string payload;
-  TRANCE_ASSIGN_OR_RETURN(bool more, ReadRecord(&record_kind, &payload));
+  TRANCE_ASSIGN_OR_RETURN(bool more, ReadRecord(&record_kind));
   if (!more) return false;
   std::vector<Row> rows;
-  TRANCE_RETURN_NOT_OK(ParseRecordPayload(record_kind, payload, &rows));
+  if (record_kind == kRecordBlock) {
+    BlockRecord rec;
+    TRANCE_RETURN_NOT_OK(ParseBlockRecord(payload_.get(), payload_size_, &rec));
+    if (!rec.ragged && !out->ragged() && rec.cols.size() == out->NumCols()) {
+      AppendRecordColumns(&rec, out);
+    } else {
+      AppendRecordRows(&rec, &rows);
+    }
+  } else {
+    TRANCE_RETURN_NOT_OK(
+        ParsePayload(record_kind, payload_.get(), payload_size_, &rows));
+  }
+  // Row fallback (row batches, ragged or width-mismatched block records):
+  // AppendRow demotes *out to ragged exactly as the in-memory path would.
   for (const Row& r : rows) out->AppendRow(r);
   if (kind != nullptr) *kind = record_kind;
   return true;

@@ -23,11 +23,13 @@
 #define TRANCE_RUNTIME_SERDE_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "runtime/column.h"
 #include "runtime/field.h"
+#include "runtime/schema.h"
 #include "util/status.h"
 
 namespace trance {
@@ -72,6 +74,8 @@ class BufferedFileWriter {
   uint64_t bytes_written() const { return bytes_written_; }
 
  private:
+  Status WriteFully(const char* p, size_t n);
+
   int fd_ = -1;
   std::string path_;
   std::vector<char> buf_;
@@ -126,6 +130,11 @@ class BlockFileWriter {
   /// fallback; columnar blocks serialize column-wise.
   Status WriteBlock(const column::PartitionBlock& block);
 
+  /// Appends one kRecordBlock record holding rows [begin, end) of `block`,
+  /// encoded straight from its columns (AppendBlockSlicePayload).
+  Status WriteBlockSlice(const column::PartitionBlock& block,
+                         const Schema& schema, size_t begin, size_t end);
+
   /// Appends one kRecordRowBatch record.
   Status WriteRows(const std::vector<Row>& rows);
 
@@ -152,11 +161,17 @@ class BlockFileReader {
   /// record kind so callers can account block→row materializations.
   StatusOr<bool> ReadBatch(std::vector<Row>* out, uint8_t* kind = nullptr);
 
-  /// Appends the next record's rows into *out via per-row AppendRow — the
-  /// block-resident restore. The append sequence is exactly what
-  /// AppendRowFrom of the written rows would produce, so the restored
-  /// block's ByteFootprint matches a never-spilled block built from the same
-  /// rows. `kind` as in ReadBatch.
+  /// Appends the next record's rows into *out — the block-resident restore.
+  /// The whole record is validated before the first cell is appended, so a
+  /// failed call leaves *out unchanged. A columnar block record whose width
+  /// matches a non-ragged *out restores column by column: typed cells go
+  /// straight into the destination's typed arrays with no Row or Field built;
+  /// variant cells and kind mismatches take AnyColumn::Append(Field). Row
+  /// batches and ragged or width-mismatched block records take per-row
+  /// AppendRow. Either way each column sees the same per-cell append
+  /// sequence as the in-memory path, so cells, RowBytesAt and ByteFootprint
+  /// equal a never-spilled block built from the same rows. `kind` as in
+  /// ReadBatch.
   StatusOr<bool> ReadBatchInto(column::PartitionBlock* out,
                                uint8_t* kind = nullptr);
 
@@ -164,11 +179,16 @@ class BlockFileReader {
   uint64_t bytes_read() const { return in_.bytes_read(); }
 
  private:
-  /// Reads one record frame (kind + payload), validating length and
-  /// checksum. Returns false cleanly at end of file.
-  StatusOr<bool> ReadRecord(uint8_t* kind, std::string* payload);
+  /// Reads one record frame (kind + payload into payload_), validating
+  /// length and checksum. Returns false cleanly at end of file.
+  StatusOr<bool> ReadRecord(uint8_t* kind);
 
   BufferedFileReader in_;
+  // The current record's payload; reused across records and never
+  // zero-filled, since every byte is read from the file before use.
+  std::unique_ptr<char[]> payload_;
+  size_t payload_size_ = 0;
+  size_t payload_capacity_ = 0;
 };
 
 // Payload codecs, exposed for tests and for embedding records in other
@@ -177,6 +197,14 @@ class BlockFileReader {
 void AppendField(const Field& f, std::string* out);
 void AppendRowBatchPayload(const std::vector<Row>& rows, std::string* out);
 void AppendBlockPayload(const column::PartitionBlock& block, std::string* out);
+/// Payload of rows [begin, end) of `block`, byte-identical to
+/// AppendBlockPayload of the chunk that PartitionBlock(schema) plus
+/// AppendRowFrom of those rows would build — but encoded straight from the
+/// source columns, without building the chunk (ragged or width-mismatched
+/// sources still build it).
+void AppendBlockSlicePayload(const column::PartitionBlock& block,
+                             const Schema& schema, size_t begin, size_t end,
+                             std::string* out);
 Status ParseField(const char* data, size_t size, size_t* pos, Field* out);
 Status ParseRecordPayload(uint8_t kind, const std::string& payload,
                           std::vector<Row>* out);

@@ -115,9 +115,9 @@ Status EnsureParentDir(const std::string& path) {
 
 }  // namespace
 
-Status SpillManager::WriteRowsRun(const std::string& path,
-                                  const std::vector<Row>& rows,
-                                  SpillCounters* c) {
+template <typename Write>
+Status SpillManager::WriteRun(const std::string& path, Write&& write,
+                              SpillCounters* c) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     root_created_ = true;
@@ -126,13 +126,7 @@ Status SpillManager::WriteRowsRun(const std::string& path,
   serde::BlockFileWriter writer;
   TRANCE_RETURN_NOT_OK(
       writer.Open(path, static_cast<size_t>(config_.io_buffer_bytes)));
-  std::vector<Row> batch;
-  batch.reserve(std::min(rows.size(), kRowsPerRecord));
-  for (size_t i = 0; i < rows.size(); i += kRowsPerRecord) {
-    size_t end = std::min(rows.size(), i + kRowsPerRecord);
-    batch.assign(rows.begin() + i, rows.begin() + end);
-    TRANCE_RETURN_NOT_OK(writer.WriteRows(batch));
-  }
+  TRANCE_RETURN_NOT_OK(write(&writer));
   TRANCE_RETURN_NOT_OK(writer.Close());
   uint64_t bytes = writer.bytes_written();
   TRANCE_RETURN_NOT_OK(AccountRun(path, bytes));
@@ -145,28 +139,31 @@ Status SpillManager::WriteRowsRun(const std::string& path,
   return Status::OK();
 }
 
+Status SpillManager::WriteRowsRun(const std::string& path,
+                                  const std::vector<Row>& rows,
+                                  SpillCounters* c) {
+  return WriteRun(
+      path,
+      [&](serde::BlockFileWriter* writer) -> Status {
+        std::vector<Row> batch;
+        batch.reserve(std::min(rows.size(), kRowsPerRecord));
+        for (size_t i = 0; i < rows.size(); i += kRowsPerRecord) {
+          size_t end = std::min(rows.size(), i + kRowsPerRecord);
+          batch.assign(rows.begin() + i, rows.begin() + end);
+          TRANCE_RETURN_NOT_OK(writer->WriteRows(batch));
+        }
+        return Status::OK();
+      },
+      c);
+}
+
 Status SpillManager::WriteBlockRun(const std::string& path,
                                    const column::PartitionBlock& block,
                                    SpillCounters* c) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    root_created_ = true;
-  }
-  TRANCE_RETURN_NOT_OK(EnsureParentDir(path));
-  serde::BlockFileWriter writer;
-  TRANCE_RETURN_NOT_OK(
-      writer.Open(path, static_cast<size_t>(config_.io_buffer_bytes)));
-  TRANCE_RETURN_NOT_OK(writer.WriteBlock(block));
-  TRANCE_RETURN_NOT_OK(writer.Close());
-  uint64_t bytes = writer.bytes_written();
-  TRANCE_RETURN_NOT_OK(AccountRun(path, bytes));
-  total_written_.fetch_add(bytes);
-  total_runs_.fetch_add(1);
-  if (c != nullptr) {
-    c->bytes_written += bytes;
-    c->runs += 1;
-  }
-  return Status::OK();
+  return WriteRun(
+      path,
+      [&](serde::BlockFileWriter* writer) { return writer->WriteBlock(block); },
+      c);
 }
 
 Status SpillManager::ReadRun(const std::string& path, std::vector<Row>* out,
@@ -271,36 +268,42 @@ Status SpillManager::SpillAndRestoreBlock(uint64_t job, const std::string& tag,
                                           const Schema& schema,
                                           column::PartitionBlock* block,
                                           SpillCounters* c) {
-  // Phase 1: split the block's row sequence into bounded chunk blocks, each
-  // written as one block record run. Chunks copy column-wise (AppendRowFrom);
-  // the source block is released wholesale after the last run lands.
+  // Phase 1: cut the block's row sequence into max_run_bytes-bounded ranges
+  // (by RowBytesAt) and write each range as one block record run, encoded
+  // straight from the source columns. The source block is released
+  // wholesale after the last run lands.
   std::vector<std::string> runs;
-  column::PartitionBlock chunk(schema);
-  uint64_t chunk_bytes = 0;
-  auto flush_chunk = [&]() -> Status {
+  auto write_range = [&](size_t begin, size_t end) -> Status {
     std::string path = RunPath(job, tag, partition, runs.size());
-    TRANCE_RETURN_NOT_OK(WriteBlockRun(path, chunk, c));
+    TRANCE_RETURN_NOT_OK(WriteRun(
+        path,
+        [&](serde::BlockFileWriter* writer) {
+          return writer->WriteBlockSlice(*block, schema, begin, end);
+        },
+        c));
     runs.push_back(std::move(path));
-    chunk = column::PartitionBlock(schema);
-    chunk_bytes = 0;
     return Status::OK();
   };
   const size_t n = block->NumRows();
+  size_t begin = 0;
+  uint64_t range_bytes = 0;
   for (size_t i = 0; i < n; ++i) {
-    chunk_bytes += block->RowBytesAt(i);
-    chunk.AppendRowFrom(*block, i);
-    if (chunk_bytes >= config_.max_run_bytes) {
-      TRANCE_RETURN_NOT_OK(flush_chunk());
+    range_bytes += block->RowBytesAt(i);
+    if (range_bytes >= config_.max_run_bytes) {
+      TRANCE_RETURN_NOT_OK(write_range(begin, i + 1));
+      begin = i + 1;
+      range_bytes = 0;
     }
   }
-  if (chunk.NumRows() > 0 || runs.empty()) {
-    TRANCE_RETURN_NOT_OK(flush_chunk());
+  if (begin < n || runs.empty()) {
+    TRANCE_RETURN_NOT_OK(write_range(begin, n));
   }
   *block = column::PartitionBlock(schema);
 
   // Phase 2: one merge pass — restore the runs in run order into the fresh
-  // block. Per-row appends replay the identical growth sequence, so the
-  // restored block's ByteFootprint equals the never-spilled equivalent.
+  // block, column by column (ReadRunIntoBlock). Each column replays the
+  // in-memory per-cell append sequence, so the restored block's
+  // ByteFootprint equals the never-spilled equivalent.
   for (const std::string& path : runs) {
     TRANCE_RETURN_NOT_OK(ReadRunIntoBlock(path, block, c));
   }

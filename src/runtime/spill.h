@@ -70,9 +70,9 @@ struct SpillCounters {
   uint64_t bytes_read = 0;
   uint64_t runs = 0;
   uint64_t merge_passes = 0;
-  /// Rows restored from block records straight into a resident block
-  /// (ReadRunIntoBlock) — each would have been a disk-side rowification
-  /// before partitions were block-resident.
+  /// Rows restored from block records into a resident block
+  /// (ReadRunIntoBlock). Columnar records restore column by column, with no
+  /// Row or Field built for typed cells; ragged records hold rows natively.
   uint64_t rowify_avoided = 0;
 
   SpillCounters& operator+=(const SpillCounters& o) {
@@ -120,9 +120,12 @@ class SpillManager {
   /// records (the disk-side analogue of column_to_row_conversions).
   Status ReadRun(const std::string& path, std::vector<Row>* out,
                  uint64_t* block_rows, SpillCounters* c);
-  /// Streams a run back into a resident block (per-row appends, so the
-  /// block's footprint matches a never-spilled block of the same rows).
-  /// Block-record rows count into c->rowify_avoided.
+  /// Streams a run back into a resident block. Block records of matching
+  /// width restore column-wise (BlockFileReader::ReadBatchInto), replaying
+  /// each column's per-cell append sequence, so the block's cells and
+  /// footprint match a never-spilled block of the same rows. The on-disk
+  /// format is the unchanged v1 block record. Block-record rows count into
+  /// c->rowify_avoided.
   Status ReadRunIntoBlock(const std::string& path,
                           column::PartitionBlock* out, SpillCounters* c);
   /// Deletes a restored run (no-op with keep_files) and releases its budget.
@@ -136,11 +139,13 @@ class SpillManager {
                              size_t partition, std::vector<Row>* rows,
                              SpillCounters* c);
 
-  /// Block-resident analogue of SpillAndRestoreRows: splits *block into
-  /// max_run_bytes-bounded chunk blocks (by RowBytesAt), writes each as one
-  /// block record run, resets *block to an empty schema-typed block, then
-  /// restores the identical row sequence via ReadRunIntoBlock and removes
-  /// the runs. Counts one merge pass; never materializes a row vector.
+  /// Block-resident analogue of SpillAndRestoreRows: cuts *block into
+  /// max_run_bytes-bounded row ranges (by RowBytesAt), writes each range
+  /// straight from the block's columns as one block record run (bytes equal
+  /// to a chunk block of those rows), resets *block to an empty schema-typed
+  /// block, then restores the identical row sequence via ReadRunIntoBlock
+  /// and removes the runs. Counts one merge pass; never materializes a row
+  /// vector.
   Status SpillAndRestoreBlock(uint64_t job, const std::string& tag,
                               size_t partition, const Schema& schema,
                               column::PartitionBlock* block,
@@ -157,6 +162,10 @@ class SpillManager {
   /// Creates the run's parent directory and charges `bytes` against the
   /// budget; fails with ResourceExhausted when the budget would overflow.
   Status AccountRun(const std::string& path, uint64_t bytes);
+  /// Opens a run file, lets write(serde::BlockFileWriter*) fill it, closes
+  /// it, and accounts its bytes against the budget and into *c.
+  template <typename Write>
+  Status WriteRun(const std::string& path, Write&& write, SpillCounters* c);
 
   SpillConfig config_;
   std::string root_;

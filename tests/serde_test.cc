@@ -8,6 +8,9 @@
 // Status (never a crash, never partial rows), every malformed input we can
 // produce: truncation at any byte, single-byte corruption anywhere in the
 // file, checksum tampering, a bad magic, and a version from the future.
+// Block records with every column kind are also read through ReadBatchInto
+// (the block-resident restore), which must leave its destination untouched
+// on failure — including for corruption behind a recomputed checksum.
 #include "runtime/serde.h"
 
 #include <gtest/gtest.h>
@@ -415,6 +418,94 @@ std::string WriteSampleFile(const std::string& name) {
   return path;
 }
 
+/// Schema of the block sample: one column of every storage kind, plus an
+/// int column demoted to variant mid-block.
+Schema BlockSampleSchema() {
+  return Schema({{"i", nrc::Type::Int()},
+                 {"r", nrc::Type::Real()},
+                 {"b", nrc::Type::Bool()},
+                 {"s", nrc::Type::String()},
+                 {"l", nrc::Type::Label()},
+                 {"d", nrc::Type::Int()}});
+}
+
+/// Rows of the block sample; 70 rows, so every null bitmap spans two words.
+std::vector<Row> BlockSampleRows() {
+  std::vector<Row> rows;
+  for (int i = 0; i < 70; ++i) {
+    Row r;
+    r.fields.push_back(i % 9 == 0 ? Field::Null() : Field::Int(i * 3));
+    r.fields.push_back(i % 7 == 0 ? Field::Null() : Field::Real(i * 0.5));
+    r.fields.push_back(i % 5 == 0 ? Field::Null() : Field::Bool(i % 2 == 0));
+    r.fields.push_back(i % 11 == 0 ? Field::Null()
+                                   : Field::Str("s" + std::to_string(i)));
+    r.fields.push_back(i % 13 == 0 ? Field::Null()
+                                   : MakeLabel({{"k", Field::Int(i)}}));
+    r.fields.push_back(i == 40 ? Field::Str("demote") : Field::Int(-i));
+    rows.push_back(std::move(r));
+  }
+  return rows;
+}
+
+/// One block record holding BlockSampleRows.
+std::string BlockSamplePayload() {
+  column::PartitionBlock block =
+      column::PartitionBlock::FromRows(BlockSampleSchema(), BlockSampleRows());
+  std::string payload;
+  serde::AppendBlockPayload(block, &payload);
+  return payload;
+}
+
+/// A whole file: header plus one correctly framed and checksummed record.
+std::string FramedFile(uint8_t kind, const std::string& payload) {
+  std::string bytes;
+  uint32_t magic = serde::kMagic;
+  uint16_t version = serde::kFormatVersion, flags = 0;
+  bytes.append(reinterpret_cast<const char*>(&magic), 4);
+  bytes.append(reinterpret_cast<const char*>(&version), 2);
+  bytes.append(reinterpret_cast<const char*>(&flags), 2);
+  bytes.push_back(static_cast<char>(kind));
+  uint64_t len = payload.size();
+  bytes.append(reinterpret_cast<const char*>(&len), 8);
+  bytes.append(payload);
+  uint64_t sum = serde::Fnv1a64(payload.data(), payload.size());
+  bytes.append(reinterpret_cast<const char*>(&sum), 8);
+  return bytes;
+}
+
+/// A non-empty restore destination over the sample schema.
+column::PartitionBlock SampleDestination() {
+  std::vector<Row> rows = BlockSampleRows();
+  rows.resize(3);
+  return column::PartitionBlock::FromRows(BlockSampleSchema(), rows);
+}
+
+/// Reads the whole file into a non-empty block through ReadBatchInto, the
+/// block-resident restore. Every failure must be a named serde Status and
+/// must leave the destination exactly as it was before the failing call.
+Status TryReadAllInto(const std::string& path) {
+  column::PartitionBlock dest = SampleDestination();
+  serde::BlockFileReader reader;
+  Status open = reader.Open(path);
+  if (!open.ok()) return open;
+  for (;;) {
+    const size_t rows = dest.NumRows();
+    const uint64_t footprint = dest.ByteFootprint();
+    auto more = reader.ReadBatchInto(&dest);
+    if (!more.ok()) {
+      EXPECT_EQ(dest.NumRows(), rows) << more.status().ToString();
+      EXPECT_EQ(dest.ByteFootprint(), footprint) << more.status().ToString();
+      EXPECT_TRUE(more.status().code() == StatusCode::kInvalidArgument)
+          << more.status().ToString();
+      EXPECT_EQ(more.status().message().rfind("serde: ", 0), 0u)
+          << more.status().ToString();
+      return more.status();
+    }
+    if (!more.value()) break;
+  }
+  return reader.Close();
+}
+
 TEST(SerdeCorruptionTest, TruncationAtEveryByteIsCleanlyRejected) {
   std::string path = WriteSampleFile("trunc");
   std::string bytes = SlurpFile(path);
@@ -431,6 +522,26 @@ TEST(SerdeCorruptionTest, TruncationAtEveryByteIsCleanlyRejected) {
     // Every other strict prefix is invalid: the record trailer is
     // load-bearing, so even a cut at a frame boundary loses the checksum.
     EXPECT_FALSE(s.ok()) << "prefix of " << cut << " bytes parsed";
+  }
+
+  // A block record with every column kind, cut at every byte of the file,
+  // through both readers.
+  const std::string payload = BlockSamplePayload();
+  bytes = FramedFile(serde::kRecordBlock, payload);
+  DumpFile(tpath, bytes);
+  ASSERT_TRUE(TryReadAll(tpath).ok());
+  ASSERT_TRUE(TryReadAllInto(tpath).ok());
+  for (size_t cut = 9; cut < bytes.size(); ++cut) {
+    DumpFile(tpath, bytes.substr(0, cut));
+    EXPECT_FALSE(TryReadAll(tpath).ok()) << "prefix of " << cut;
+    EXPECT_FALSE(TryReadAllInto(tpath).ok()) << "prefix of " << cut;
+  }
+  // Payload cuts behind a correct frame and checksum: the record parser's
+  // own bounds checks must reject every strict prefix of the payload.
+  for (size_t cut = 0; cut < payload.size(); ++cut) {
+    DumpFile(tpath, FramedFile(serde::kRecordBlock, payload.substr(0, cut)));
+    EXPECT_FALSE(TryReadAll(tpath).ok()) << "payload prefix of " << cut;
+    EXPECT_FALSE(TryReadAllInto(tpath).ok()) << "payload prefix of " << cut;
   }
   std::remove(path.c_str());
   std::remove(tpath.c_str());
@@ -452,6 +563,37 @@ TEST(SerdeCorruptionTest, SingleByteFlipsNeverCrashAndMostlyFail) {
   // every flip is caught. (Flips inside the length field can produce a
   // shorter-but-self-consistent frame only by checksum collision.)
   EXPECT_GE(rejected, bytes.size() - 2) << "of " << bytes.size();
+
+  // The same for a block record with every column kind, through both
+  // readers.
+  const std::string payload = BlockSamplePayload();
+  bytes = FramedFile(serde::kRecordBlock, payload);
+  size_t rejected_rows = 0, rejected_into = 0;
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    std::string corrupt = bytes;
+    corrupt[i] = static_cast<char>(corrupt[i] ^ 0x5a);
+    DumpFile(fpath, corrupt);
+    if (!TryReadAll(fpath).ok()) ++rejected_rows;
+    if (!TryReadAllInto(fpath).ok()) ++rejected_into;
+  }
+  EXPECT_GE(rejected_rows, bytes.size() - 2) << "of " << bytes.size();
+  EXPECT_GE(rejected_into, bytes.size() - 2) << "of " << bytes.size();
+
+  // Flips behind a recomputed checksum reach the record parser itself. A
+  // flip inside a value may still decode (to different data); a flip in the
+  // structure must fail cleanly — never crash, never touch the destination
+  // (TryReadAllInto checks) — and the two readers must agree.
+  size_t structural = 0;
+  for (size_t i = 0; i < payload.size(); ++i) {
+    std::string corrupt = payload;
+    corrupt[i] = static_cast<char>(corrupt[i] ^ 0x5a);
+    DumpFile(fpath, FramedFile(serde::kRecordBlock, corrupt));
+    Status rows = TryReadAll(fpath);
+    Status into = TryReadAllInto(fpath);
+    EXPECT_EQ(rows.ok(), into.ok()) << "flip at payload byte " << i;
+    if (!into.ok()) ++structural;
+  }
+  EXPECT_GT(structural, 0u);
   std::remove(path.c_str());
   std::remove(fpath.c_str());
 }

@@ -7,12 +7,19 @@
 // and 8 threads, on both compilation routes. Spill cost appears only in the
 // spill-only counters (and EXPLAIN ANALYZE / JSON export), which are exactly
 // 0 when nothing spills. Plus SpillManager unit coverage: deterministic run
-// naming, order-preserving spill-and-restore, and the spill byte budget.
+// naming, order-preserving spill-and-restore, and the spill byte budget —
+// and the block round-trip property: the column-wise spill writes run files
+// byte-identical to the historical chunk-block path and restores blocks
+// equal to the per-row restore in every cell, RowBytesAt and ByteFootprint.
 #include "runtime/spill.h"
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <fstream>
+#include <iterator>
 #include <map>
+#include <random>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -23,6 +30,7 @@
 #include "obs/explain.h"
 #include "obs/export.h"
 #include "runtime/cluster.h"
+#include "runtime/serde.h"
 #include "tpch/generator.h"
 #include "tpch/queries.h"
 
@@ -560,6 +568,275 @@ TEST(SpillManagerTest, BlockRunsRoundTripThroughReadRun) {
     }
   }
   EXPECT_EQ(c.bytes_read, c.bytes_written);
+}
+
+// --- block round-trip property --------------------------------------------
+
+namespace column = runtime::column;
+namespace serde = runtime::serde;
+using runtime::Schema;
+
+/// Random schema column types, one per storage kind plus two variant-backed
+/// types (label, bag).
+nrc::TypePtr RandomColumnType(std::mt19937_64* rng) {
+  switch ((*rng)() % 6) {
+    case 0: return nrc::Type::Int();
+    case 1: return nrc::Type::Real();
+    case 2: return nrc::Type::Bool();
+    case 3: return nrc::Type::String();
+    case 4: return nrc::Type::Label();
+    default:
+      return nrc::Type::Bag(nrc::Type::Tuple({{"x", nrc::Type::Int()}}));
+  }
+}
+
+/// A value of the declared type, or (kind_mismatch) of another kind, which
+/// demotes a typed column to variant mid-block.
+Field RandomValue(std::mt19937_64* rng, const nrc::TypePtr& type,
+                  bool kind_mismatch) {
+  int64_t v = static_cast<int64_t>((*rng)() % 100000) - 50000;
+  if (kind_mismatch) {
+    return type->is_scalar() && type->scalar_kind() == nrc::ScalarKind::kString
+               ? Field::Int(v)
+               : Field::Str("m" + std::to_string(v));
+  }
+  if (!type->is_scalar()) {
+    if ((*rng)() % 2 == 0) {
+      return runtime::MakeLabel({{"k", Field::Int(v)}, {"s", Field::Str("l")}});
+    }
+    return Field::Bag({Row{{Field::Int(v)}}, Row{{Field::Real(v * 0.5)}}});
+  }
+  switch (type->scalar_kind()) {
+    case nrc::ScalarKind::kInt: return Field::Int(v);
+    case nrc::ScalarKind::kReal: return Field::Real(v == 0 ? -0.0 : v * 0.25);
+    case nrc::ScalarKind::kBool: return Field::Bool(v % 2 == 0);
+    case nrc::ScalarKind::kString:
+      return Field::Str(std::string(static_cast<size_t>((*rng)() % 12), 'a' +
+                                    static_cast<char>((*rng)() % 26)));
+    default: return Field::Int(v);
+  }
+}
+
+/// Random block over `schema`: per-column NULL rates of 0 or 1/4, an
+/// optional mid-block kind mismatch per column, and (ragged) an optional
+/// width-mismatched row that demotes the whole block to its row fallback.
+column::PartitionBlock RandomBlock(std::mt19937_64* rng, const Schema& schema,
+                                   size_t rows, bool ragged) {
+  const size_t ncols = schema.size();
+  std::vector<bool> nulls(ncols), mismatch(ncols);
+  for (size_t c = 0; c < ncols; ++c) {
+    nulls[c] = (*rng)() % 2 == 0;
+    mismatch[c] = (*rng)() % 4 == 0;
+  }
+  const size_t ragged_row = ragged ? (*rng)() % (rows + 1) : rows;
+  column::PartitionBlock block(schema);
+  for (size_t i = 0; i < rows; ++i) {
+    Row r;
+    size_t width = i == ragged_row ? ncols + 1 : ncols;
+    for (size_t c = 0; c < width; ++c) {
+      if (c >= ncols) {
+        r.fields.push_back(Field::Int(static_cast<int64_t>(i)));
+      } else if (nulls[c] && (*rng)() % 4 == 0) {
+        r.fields.push_back(Field::Null());
+      } else {
+        r.fields.push_back(RandomValue(rng, schema.col(c).type,
+                                       mismatch[c] && (*rng)() % 16 == 0));
+      }
+    }
+    block.AppendRow(r);
+  }
+  return block;
+}
+
+bool FieldsBitEqual(const Field& a, const Field& b) {
+  if (a.is_real() && b.is_real()) {
+    double x = a.AsReal(), y = b.AsReal();
+    return std::memcmp(&x, &y, sizeof(x)) == 0;
+  }
+  return a == b;
+}
+
+/// The restored block must equal the reference in every cell (bit-exact),
+/// in RowBytesAt, and in ByteFootprint.
+void ExpectBlocksIdentical(const column::PartitionBlock& got,
+                           const column::PartitionBlock& want,
+                           const std::string& at) {
+  ASSERT_EQ(got.NumRows(), want.NumRows()) << at;
+  ASSERT_EQ(got.ragged(), want.ragged()) << at;
+  for (size_t i = 0; i < got.NumRows(); ++i) {
+    Row g = got.RowAt(i), w = want.RowAt(i);
+    ASSERT_EQ(g.fields.size(), w.fields.size()) << at << " row " << i;
+    for (size_t f = 0; f < g.fields.size(); ++f) {
+      ASSERT_TRUE(FieldsBitEqual(g.fields[f], w.fields[f]))
+          << at << " row " << i << " field " << f;
+    }
+    ASSERT_EQ(got.RowBytesAt(i), want.RowBytesAt(i)) << at << " row " << i;
+  }
+  EXPECT_EQ(got.ByteFootprint(), want.ByteFootprint()) << at;
+}
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+/// The historical block-run writer: a chunk block of rows [begin, end)
+/// built through AppendRowFrom, written through WriteBlock.
+std::string ChunkRunBytes(const column::PartitionBlock& block,
+                          const Schema& schema, size_t begin, size_t end,
+                          const std::string& path) {
+  column::PartitionBlock chunk(schema);
+  for (size_t i = begin; i < end; ++i) chunk.AppendRowFrom(block, i);
+  serde::BlockFileWriter writer;
+  EXPECT_TRUE(writer.Open(path).ok());
+  EXPECT_TRUE(writer.WriteBlock(chunk).ok());
+  EXPECT_TRUE(writer.Close().ok());
+  return FileBytes(path);
+}
+
+TEST(SpillBlockPropertyTest, SliceEncoderMatchesChunkPayload) {
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    std::mt19937_64 rng(seed);
+    std::vector<runtime::Column> cols;
+    size_t ncols = 1 + rng() % 5;
+    for (size_t c = 0; c < ncols; ++c) {
+      cols.push_back({"c" + std::to_string(c), RandomColumnType(&rng)});
+    }
+    Schema schema(cols);
+    column::PartitionBlock block =
+        RandomBlock(&rng, schema, rng() % 300, seed % 5 == 0);
+    // The spill schema usually is the block's own; sometimes it retypes a
+    // column or adds one, which exercises the kind-mismatch and
+    // width-mismatch encodings.
+    Schema spill_schema = schema;
+    if (seed % 7 == 0) {
+      cols[rng() % ncols].type = RandomColumnType(&rng);
+      spill_schema = Schema(cols);
+    } else if (seed % 11 == 0) {
+      spill_schema.Append({"extra", nrc::Type::Int()});
+    }
+    const size_t n = block.NumRows();
+    for (int trial = 0; trial < 20; ++trial) {
+      size_t a = n == 0 ? 0 : rng() % (n + 1);
+      size_t b = n == 0 ? 0 : rng() % (n + 1);
+      if (a > b) std::swap(a, b);
+      column::PartitionBlock chunk(spill_schema);
+      for (size_t i = a; i < b; ++i) chunk.AppendRowFrom(block, i);
+      std::string want, got;
+      serde::AppendBlockPayload(chunk, &want);
+      serde::AppendBlockSlicePayload(block, spill_schema, a, b, &got);
+      ASSERT_EQ(got, want) << "seed " << seed << " range [" << a << ", " << b
+                           << ")";
+    }
+  }
+}
+
+TEST(SpillBlockPropertyTest, SpillAndRestoreBlockEqualsRowPath) {
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    std::mt19937_64 rng(seed * 7919);
+    std::vector<runtime::Column> cols;
+    size_t ncols = 1 + rng() % 5;
+    for (size_t c = 0; c < ncols; ++c) {
+      cols.push_back({"c" + std::to_string(c), RandomColumnType(&rng)});
+    }
+    Schema schema(cols);
+    const column::PartitionBlock original =
+        RandomBlock(&rng, schema, 1 + rng() % 400, seed % 6 == 0);
+    runtime::spill::SpillConfig cfg;
+    cfg.dir = ::testing::TempDir();
+    cfg.max_run_bytes = 64 + rng() % 2048;  // several runs per block
+    cfg.keep_files = true;
+    runtime::spill::SpillManager m(cfg);
+
+    // Expected run files: the historical chunk-block writer over the same
+    // RowBytesAt boundaries.
+    std::vector<std::string> want_runs;
+    const std::string scratch = ::testing::TempDir() + "/trance_spill_chunk.trs";
+    size_t begin = 0;
+    uint64_t bytes = 0;
+    for (size_t i = 0; i < original.NumRows(); ++i) {
+      bytes += original.RowBytesAt(i);
+      if (bytes >= cfg.max_run_bytes) {
+        want_runs.push_back(ChunkRunBytes(original, schema, begin, i + 1,
+                                          scratch));
+        begin = i + 1;
+        bytes = 0;
+      }
+    }
+    if (begin < original.NumRows() || want_runs.empty()) {
+      want_runs.push_back(
+          ChunkRunBytes(original, schema, begin, original.NumRows(), scratch));
+    }
+    std::remove(scratch.c_str());
+
+    column::PartitionBlock block = original;
+    runtime::spill::SpillCounters c;
+    Status s = m.SpillAndRestoreBlock(9, "prop", 0, schema, &block, &c);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    ASSERT_EQ(c.runs, want_runs.size()) << "seed " << seed;
+    for (size_t r = 0; r < want_runs.size(); ++r) {
+      std::string path = m.RunPath(9, "prop", 0, r);
+      ASSERT_EQ(FileBytes(path), want_runs[r])
+          << "seed " << seed << " run " << r;
+      std::remove(path.c_str());
+    }
+    EXPECT_EQ(c.rowify_avoided, original.NumRows());
+
+    // The row path: the same rows appended one by one into a fresh block.
+    column::PartitionBlock want =
+        column::PartitionBlock::FromRows(schema, original.ToRows());
+    ExpectBlocksIdentical(block, want, "seed " + std::to_string(seed));
+  }
+}
+
+TEST(SpillBlockPropertyTest, MultiRunRestoreIntoNonEmptyBlockEqualsRowPath) {
+  // The shuffle-fetch case: several block runs (some ragged, some of
+  // another width, some retyped) restored into a destination that already
+  // holds rows — possibly demoted columns or a ragged fallback.
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    std::mt19937_64 rng(seed * 104729);
+    std::vector<runtime::Column> cols;
+    size_t ncols = 1 + rng() % 4;
+    for (size_t c = 0; c < ncols; ++c) {
+      cols.push_back({"c" + std::to_string(c), RandomColumnType(&rng)});
+    }
+    Schema schema(cols);
+    // Both sides grow through the same append sequence (a copy would not
+    // preserve vector capacities, and so not ByteFootprint).
+    const std::vector<Row> prefix =
+        RandomBlock(&rng, schema, rng() % 100, seed % 8 == 0).ToRows();
+    column::PartitionBlock dest = column::PartitionBlock::FromRows(schema, prefix);
+    column::PartitionBlock want = column::PartitionBlock::FromRows(schema, prefix);
+
+    runtime::spill::SpillConfig cfg;
+    cfg.dir = ::testing::TempDir();
+    runtime::spill::SpillManager m(cfg);
+    runtime::spill::SpillCounters c;
+    size_t runs = 1 + rng() % 4;
+    for (size_t r = 0; r < runs; ++r) {
+      Schema run_schema = schema;
+      if (rng() % 5 == 0) {
+        std::vector<runtime::Column> retyped = cols;
+        retyped[rng() % ncols].type = RandomColumnType(&rng);
+        run_schema = Schema(retyped);
+      } else if (rng() % 7 == 0) {
+        run_schema.Append({"extra", nrc::Type::Int()});
+      }
+      column::PartitionBlock src =
+          RandomBlock(&rng, run_schema, rng() % 150, rng() % 6 == 0);
+      std::string path = m.RunPath(11, "fetch", 0, r);
+      ASSERT_TRUE(m.WriteBlockRun(path, src, &c).ok());
+      Status s = m.ReadRunIntoBlock(path, &dest, &c);
+      ASSERT_TRUE(s.ok()) << s.ToString();
+      m.RemoveRun(path);
+      for (size_t i = 0; i < src.NumRows(); ++i) want.AppendRow(src.RowAt(i));
+      ExpectBlocksIdentical(dest, want,
+                            "seed " + std::to_string(seed) + " run " +
+                                std::to_string(r));
+    }
+    EXPECT_EQ(c.bytes_read, c.bytes_written);
+  }
 }
 
 }  // namespace
