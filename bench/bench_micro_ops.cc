@@ -8,7 +8,9 @@
 // PR 5; BM_FlatHashBuild/BM_FlatHashProbe compare the flat open-addressing
 // table against the std::unordered_map fallback directly (PR 7);
 // BM_ColumnScan/BM_ColumnProject compare typed PartitionBlock column loops
-// against the historical row-vector Field dispatch (PR 8). main()
+// against the historical row-vector Field dispatch (PR 8); BM_FusedStage
+// times one fused project -> select -> outer-unnest -> extend stage over a
+// block-resident partition with a bag column. main()
 // additionally runs fixed-size rows/sec regression passes over dedup, join
 // build/probe, and nest — codec on/off to BENCH_micro_key_codec.json, flat
 // table on/off to BENCH_micro_flat_hash.json, columnar blocks on/off
@@ -24,6 +26,7 @@
 #include <filesystem>
 
 #include "bench_common.h"
+#include "exec/scalar_compiler.h"
 #include "nrc/builder.h"
 #include "runtime/cluster.h"
 #include "runtime/column.h"
@@ -498,6 +501,86 @@ void BM_SpillBlockRoundTrip(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_SpillBlockRoundTrip)->Arg(65536);
+
+/// Inputs of BM_FusedStage: one n-row block-resident partition (k: int,
+/// v: real, p: string, g: {(x: int, y: string)}) whose bags hold 0-3 rows.
+Dataset MakeFusedStageInput(int64_t n) {
+  Schema schema({{"k", nrc::Type::Int()},
+                 {"v", nrc::Type::Real()},
+                 {"p", nrc::Type::String()},
+                 {"g", nrc::dsl::BagTu({{"x", nrc::Type::Int()},
+                                        {"y", nrc::Type::String()}})}});
+  Rng rng(14);
+  column::PartitionBlock block(schema);
+  for (int64_t i = 0; i < n; ++i) {
+    int64_t k = rng.UniformRange(0, 1 << 20);
+    std::vector<Row> bag;
+    for (int64_t e = 0; e < i % 4; ++e) {
+      bag.push_back(Row({Field::Int(k + e), Field::Str(std::to_string(e))}));
+    }
+    block.AppendRow(Row({Field::Int(k), Field::Real(rng.NextDouble()),
+                         Field::Str(std::to_string(k % 997)),
+                         Field::Bag(std::move(bag))}));
+  }
+  Dataset ds;
+  ds.schema = schema;
+  std::vector<column::PartitionBlock> blocks;
+  blocks.push_back(std::move(block));
+  ds.store = runtime::PartitionStore::OfBlocks(schema, std::move(blocks));
+  return ds;
+}
+
+/// Fused narrow stage throughput: project -> select -> outer-unnest ->
+/// extend over one 65,536-row block-resident partition with a bag column,
+/// compiled the way the lowering compiles it (pass-through columns, cell
+/// predicates, compiled computed columns). items/s counts input rows.
+void BM_FusedStage(benchmark::State& state) {
+  using nrc::Expr;
+  using runtime::RowTransform;
+  Dataset in = MakeFusedStageInput(state.range(0));
+  auto compile = [](const nrc::ExprPtr& e, const Schema& s) {
+    return exec::CompileCellScalar(e, s).ValueOrDie();
+  };
+  // project (k, g, p, w := v * 2)
+  Schema s1({in.schema.col(0), in.schema.col(3), in.schema.col(2),
+             {"w", nrc::Type::Real()}});
+  std::vector<runtime::ProjectColumn> proj(4);
+  proj[0].src = 0;
+  proj[1].src = 3;
+  proj[2].src = 2;
+  proj[3].fn = compile(nrc::dsl::Mul(Expr::Var("v"), nrc::dsl::R(2.0)),
+                       in.schema);
+  // select k < 2^19
+  runtime::CellPredFn pred =
+      exec::CompileCellPredicate(
+          nrc::dsl::Lt(Expr::Var("k"), nrc::dsl::I(1 << 19)), s1)
+          .ValueOrDie();
+  // outer-unnest g with an id column; extend z := x + k
+  Schema s2 = runtime::UnnestedSchema(s1, 1, "id").ValueOrDie();
+  Schema s3 = s2;
+  s3.Append({"z", nrc::Type::Int()});
+  std::vector<runtime::ProjectColumn> ext(1);
+  ext[0].fn = compile(nrc::dsl::Add(Expr::Var("x"), Expr::Var("k")), s2);
+  const std::vector<RowTransform> chain = {
+      RowTransform::Project("project", false, proj),
+      RowTransform::Select("select", pred),
+      RowTransform::OuterUnnest("unnest", 1, true, 2),
+      RowTransform::Project("extend", true, ext)};
+
+  ClusterConfig cfg{.num_partitions = 1};
+  cfg.num_threads = 1;
+  Cluster cluster(cfg);
+  cluster.set_spill_enabled(false);
+  for (auto _ : state) {
+    auto out = runtime::RunStagePipeline(&cluster, in, s3, chain,
+                                         runtime::Partitioning::None(),
+                                         "fused_stage");
+    TRANCE_CHECK(out.ok(), "fused stage bench");
+    benchmark::DoNotOptimize(out->NumRows());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_FusedStage)->Arg(65536);
 
 void BM_ValueShred(benchmark::State& state) {
   nrc::Value v = MakeNested(state.range(0), 10, 10);

@@ -8,8 +8,10 @@
 # suite (label `flathash` — arena OOB stress for exactly this pass), the
 # columnar-block suite (label `columnar` — string-arena and bitmap bounds
 # under ASan), the spill-format suites (labels `serde` and `spill` — byte
-# parsers over corrupt input are exactly what ASan is for), and the
-# telemetry suites (labels `metrics` and `events`) under the sanitizers.
+# parsers over corrupt input are exactly what ASan is for), the exec suite
+# (label `exec` — the scalar compiler evaluates over cell accessors whose
+# cells borrow pointers into blocks and bag rows), and the telemetry suites
+# (labels `metrics` and `events`) under the sanitizers.
 # TRANCE_WERROR keeps the build warning-clean.
 #
 # Usage: ci/sanitize.sh [build-dir]   (default: build-sanitize)
@@ -22,5 +24,5 @@ ci/check_docs.sh
 ci/bench_smoke.sh
 
 cmake -B "$BUILD_DIR" -S . -DTRANCE_SANITIZE=ON -DTRANCE_WERROR=ON
-cmake --build "$BUILD_DIR" --target obs_test fusion_test fault_test key_codec_test flat_hash_test metrics_test event_log_test column_test columnar_test serde_test spill_test -j"$(nproc)"
-ctest --test-dir "$BUILD_DIR" -L 'obs|fusion|faults|keys|flathash|metrics|events|columnar|serde|spill' --output-on-failure -j"$(nproc)"
+cmake --build "$BUILD_DIR" --target obs_test fusion_test fault_test key_codec_test flat_hash_test metrics_test event_log_test column_test columnar_test serde_test spill_test exec_test -j"$(nproc)"
+ctest --test-dir "$BUILD_DIR" -L 'obs|fusion|faults|keys|flathash|metrics|events|columnar|serde|spill|exec' --output-on-failure -j"$(nproc)"

@@ -110,9 +110,8 @@ StatusOr<Value> FieldToValue(const Field& f, const TypePtr& type) {
   if (type != nullptr && type->is_bag()) {
     if (!f.is_bag()) return Status::TypeError("expected bag field");
     TRANCE_ASSIGN_OR_RETURN(Schema inner, Schema::FromBagType(type));
-    std::vector<Row> rows = f.AsBag() == nullptr ? std::vector<Row>{}
-                                                 : *f.AsBag();
-    return RowsToValue(rows, inner);
+    if (f.AsBag() == nullptr) return RowsToValue({}, inner);
+    return RowsToValue(*f.AsBag(), inner);
   }
   if (f.is_int()) {
     return Value::Int(f.AsInt());

@@ -16,10 +16,8 @@ using plan::NestAgg;
 using plan::PlanNode;
 using plan::PlanPtr;
 using runtime::Dataset;
-using runtime::Field;
 using runtime::JoinType;
 using runtime::Partitioning;
-using runtime::Row;
 using runtime::Schema;
 using skew::SkewTriple;
 
@@ -179,6 +177,17 @@ struct Executor::Pending {
   std::optional<skew::HeavyKeySet> heavy_keys;
   /// Base operator names in chain order, for the fused stage label.
   std::vector<std::string> ops;
+
+  /// Appends one narrow step to both component chains; the heavy copy's op
+  /// carries the ".h" suffix of the heavy component's stages.
+  void Add(runtime::RowTransform t, const std::string& scope) {
+    t.scope = scope;
+    runtime::RowTransform h = t;
+    h.op += ".h";
+    ops.push_back(t.op);
+    light.push_back(std::move(t));
+    heavy.push_back(std::move(h));
+  }
 };
 
 Executor::Pending Executor::PendingFromTriple(SkewTriple t) {
@@ -189,6 +198,87 @@ Executor::Pending Executor::PendingFromTriple(SkewTriple t) {
   pd.heavy_keys = t.heavy_keys;
   pd.input = std::move(t);
   return pd;
+}
+
+Status Executor::AppendNarrow(const plan::PlanPtr& p, const std::string& scope,
+                              Pending* pd) {
+  using K = PlanNode::Kind;
+  switch (p->kind()) {
+    case K::kSelect: {
+      TRANCE_ASSIGN_OR_RETURN(runtime::CellPredFn pred,
+                              CompileCellPredicate(p->cond(), pd->schema));
+      pd->Add(runtime::RowTransform::Select("select", std::move(pred)),
+              scope);
+      return Status::OK();
+    }
+
+    case K::kOuterSelect: {
+      // Failing rows keep only the grouping-prefix columns; everything else
+      // goes NULL so the enclosing Gammas treat the row as a miss.
+      TRANCE_ASSIGN_OR_RETURN(runtime::CellPredFn pred,
+                              CompileCellPredicate(p->cond(), pd->schema));
+      std::vector<bool> keep(pd->schema.size(), false);
+      for (const auto& name : p->keep_cols()) {
+        TRANCE_ASSIGN_OR_RETURN(int i, pd->schema.Require(name));
+        keep[static_cast<size_t>(i)] = true;
+      }
+      pd->Add(runtime::RowTransform::OuterSelect("outer_select",
+                                                 std::move(pred),
+                                                 std::move(keep)),
+              scope);
+      return Status::OK();
+    }
+
+    case K::kProject:
+    case K::kExtend: {
+      // Bare column references pass their cells through; every other
+      // expression is a computed column.
+      const bool extend = p->kind() == K::kExtend;
+      std::vector<runtime::ProjectColumn> columns;
+      Schema out_schema;
+      if (extend) out_schema = pd->schema;
+      for (const auto& c : p->columns()) {
+        runtime::ProjectColumn col;
+        if (c.expr->kind() == nrc::Expr::Kind::kVarRef) {
+          TRANCE_ASSIGN_OR_RETURN(col.src,
+                                  pd->schema.Require(c.expr->var_name()));
+        } else {
+          TRANCE_ASSIGN_OR_RETURN(col.fn,
+                                  CompileCellScalar(c.expr, pd->schema));
+        }
+        TRANCE_ASSIGN_OR_RETURN(nrc::TypePtr t,
+                                ScalarResultType(c.expr, pd->schema));
+        columns.push_back(std::move(col));
+        out_schema.Append({c.name, t});
+      }
+      if (!extend) {
+        pd->light_part =
+            ProjectPartitioning(pd->light_part, p->columns(), pd->schema);
+        pd->heavy_part =
+            ProjectPartitioning(pd->heavy_part, p->columns(), pd->schema);
+        // A Project invalidates the recorded heavy-key positions unless all
+        // key columns map (an Extend keeps every position).
+        if (pd->heavy_keys.has_value()) {
+          Partitioning mapped = ProjectPartitioning(
+              Partitioning::Hash(pd->heavy_keys->key_cols), p->columns(),
+              pd->schema);
+          if (mapped.kind == Partitioning::Kind::kHash) {
+            pd->heavy_keys->key_cols = mapped.key_cols;
+          } else {
+            pd->heavy_keys = std::nullopt;
+          }
+        }
+      }
+      pd->Add(runtime::RowTransform::Project(extend ? "extend" : "project",
+                                             extend, std::move(columns)),
+              scope);
+      pd->schema = std::move(out_schema);
+      return Status::OK();
+    }
+
+    default:
+      return Status::Internal("AppendNarrow on a non-row-local plan node");
+  }
 }
 
 StatusOr<SkewTriple> Executor::Exec(const plan::PlanPtr& p) {
@@ -249,87 +339,13 @@ StatusOr<Executor::Pending> Executor::ExecPendingNarrow(
   const std::string scope = obs::StageScopeName(scope_var_, next_node_id_++);
   TRANCE_ASSIGN_OR_RETURN(Pending pd, ExecPending(p->child()));
 
-  auto add = [&pd, &scope](runtime::RowTransform lt, runtime::RowTransform ht,
-                           std::string op) {
-    lt.scope = scope;
-    ht.scope = scope;
-    pd.light.push_back(std::move(lt));
-    pd.heavy.push_back(std::move(ht));
-    pd.ops.push_back(std::move(op));
-  };
-
   switch (p->kind()) {
-    case K::kSelect: {
-      TRANCE_ASSIGN_OR_RETURN(auto pred,
-                              CompilePredicate(p->cond(), pd.schema));
-      add(runtime::RowTransform::Filter("select", pred),
-          runtime::RowTransform::Filter("select.h", pred), "select");
-      return pd;
-    }
-
-    case K::kOuterSelect: {
-      TRANCE_ASSIGN_OR_RETURN(auto pred,
-                              CompilePredicate(p->cond(), pd.schema));
-      std::vector<bool> keep(pd.schema.size(), false);
-      for (const auto& name : p->keep_cols()) {
-        TRANCE_ASSIGN_OR_RETURN(int i, pd.schema.Require(name));
-        keep[static_cast<size_t>(i)] = true;
-      }
-      runtime::MapFn fn = [pred, keep](const Row& r) {
-        if (pred(r)) return r;
-        Row out = r;
-        for (size_t i = 0; i < out.fields.size(); ++i) {
-          if (!keep[i]) out.fields[i] = Field::Null();
-        }
-        return out;
-      };
-      add(runtime::RowTransform::Map("outer_select", fn),
-          runtime::RowTransform::Map("outer_select.h", fn), "outer_select");
-      return pd;
-    }
-
+    case K::kSelect:
+    case K::kOuterSelect:
     case K::kProject:
-    case K::kExtend: {
-      const bool extend = p->kind() == K::kExtend;
-      std::vector<ScalarFn> fns;
-      Schema out_schema;
-      if (extend) out_schema = pd.schema;
-      for (const auto& c : p->columns()) {
-        TRANCE_ASSIGN_OR_RETURN(ScalarFn f, CompileScalar(c.expr, pd.schema));
-        TRANCE_ASSIGN_OR_RETURN(nrc::TypePtr t,
-                                ScalarResultType(c.expr, pd.schema));
-        fns.push_back(std::move(f));
-        out_schema.Append({c.name, t});
-      }
-      runtime::MapFn map = [fns, extend](const Row& r) {
-        Row out;
-        out.fields.reserve((extend ? r.fields.size() : 0) + fns.size());
-        if (extend) out.fields = r.fields;
-        for (const auto& f : fns) out.fields.push_back(f(r));
-        return out;
-      };
-      if (!extend) {
-        pd.light_part =
-            ProjectPartitioning(pd.light_part, p->columns(), pd.schema);
-        pd.heavy_part =
-            ProjectPartitioning(pd.heavy_part, p->columns(), pd.schema);
-        if (pd.heavy_keys.has_value()) {
-          Partitioning mapped = ProjectPartitioning(
-              Partitioning::Hash(pd.heavy_keys->key_cols), p->columns(),
-              pd.schema);
-          if (mapped.kind == Partitioning::Kind::kHash) {
-            pd.heavy_keys->key_cols = mapped.key_cols;
-          } else {
-            pd.heavy_keys = std::nullopt;
-          }
-        }
-      }
-      add(runtime::RowTransform::Map(extend ? "extend" : "project", map),
-          runtime::RowTransform::Map(extend ? "extend.h" : "project.h", map),
-          extend ? "extend" : "project");
-      pd.schema = std::move(out_schema);
+    case K::kExtend:
+      TRANCE_RETURN_NOT_OK(AppendNarrow(p, scope, &pd));
       return pd;
-    }
 
     case K::kUnnest: {
       TRANCE_ASSIGN_OR_RETURN(int bag, pd.schema.Require(p->bag_col()));
@@ -353,14 +369,11 @@ StatusOr<Executor::Pending> Executor::ExecPendingNarrow(
         const bool with_id = !id_attr.empty();
         size_t inner_width = out_schema.size() - (with_id ? 1 : 0) -
                              (pd.schema.size() - 1);
-        add(runtime::RowTransform::OuterUnnest("unnest", bag, with_id,
-                                               inner_width),
-            runtime::RowTransform::OuterUnnest("unnest.h", bag, with_id,
-                                               inner_width),
-            "unnest");
+        pd.Add(runtime::RowTransform::OuterUnnest("unnest", bag, with_id,
+                                                        inner_width),
+                scope);
       } else {
-        add(runtime::RowTransform::Unnest("unnest", bag),
-            runtime::RowTransform::Unnest("unnest.h", bag), "unnest");
+        pd.Add(runtime::RowTransform::Unnest("unnest", bag), scope);
       }
       pd.schema = std::move(out_schema);
       pd.light_part = Partitioning::None();
@@ -407,113 +420,23 @@ StatusOr<Executor::Pending> Executor::ExecPendingNarrow(
 StatusOr<SkewTriple> Executor::ExecNode(const plan::PlanPtr& p) {
   // Pre-order node numbering within the current assignment; every stage the
   // node's operators record is attributed to this scope.
-  runtime::StageScope stage_scope(
-      cluster_, obs::StageScopeName(scope_var_, next_node_id_++));
+  const std::string scope = obs::StageScopeName(scope_var_, next_node_id_++);
+  runtime::StageScope stage_scope(cluster_, scope);
   using K = PlanNode::Kind;
   switch (p->kind()) {
     case K::kScan:
       return Get(p->relation());
 
-    case K::kSelect: {
-      TRANCE_ASSIGN_OR_RETURN(SkewTriple in, Exec(p->child()));
-      TRANCE_ASSIGN_OR_RETURN(auto pred,
-                              CompilePredicate(p->cond(), in.schema()));
-      SkewTriple out;
-      TRANCE_ASSIGN_OR_RETURN(
-          out.light, runtime::FilterRows(cluster_, in.light, pred, "select"));
-      TRANCE_ASSIGN_OR_RETURN(
-          out.heavy,
-          runtime::FilterRows(cluster_, in.heavy, pred, "select.h"));
-      out.heavy_keys = in.heavy_keys;
-      return out;
-    }
-
-    case K::kOuterSelect: {
-      TRANCE_ASSIGN_OR_RETURN(SkewTriple in, Exec(p->child()));
-      const Schema& schema = in.schema();
-      TRANCE_ASSIGN_OR_RETURN(auto pred, CompilePredicate(p->cond(), schema));
-      // Failing rows keep only the grouping-prefix columns; everything else
-      // goes NULL so the enclosing Gammas treat the row as a miss.
-      std::vector<bool> keep(schema.size(), false);
-      for (const auto& name : p->keep_cols()) {
-        TRANCE_ASSIGN_OR_RETURN(int i, schema.Require(name));
-        keep[static_cast<size_t>(i)] = true;
-      }
-      runtime::MapFn fn = [pred, keep](const Row& r) {
-        if (pred(r)) return r;
-        Row out = r;
-        for (size_t i = 0; i < out.fields.size(); ++i) {
-          if (!keep[i]) out.fields[i] = Field::Null();
-        }
-        return out;
-      };
-      SkewTriple out;
-      TRANCE_ASSIGN_OR_RETURN(
-          out.light, runtime::MapRows(cluster_, in.light, schema, fn,
-                                      "outer_select", true));
-      TRANCE_ASSIGN_OR_RETURN(
-          out.heavy, runtime::MapRows(cluster_, in.heavy, schema, fn,
-                                      "outer_select.h", true));
-      out.heavy_keys = in.heavy_keys;
-      return out;
-    }
-
+    case K::kSelect:
+    case K::kOuterSelect:
     case K::kProject:
     case K::kExtend: {
+      // A one-step chain: the same structured transform the fused lowering
+      // appends, run (and recorded) as its own stage.
       TRANCE_ASSIGN_OR_RETURN(SkewTriple in, Exec(p->child()));
-      const Schema& in_schema = in.schema();
-      bool extend = p->kind() == K::kExtend;
-
-      std::vector<ScalarFn> fns;
-      Schema out_schema;
-      if (extend) out_schema = in_schema;
-      for (const auto& c : p->columns()) {
-        TRANCE_ASSIGN_OR_RETURN(ScalarFn f, CompileScalar(c.expr, in_schema));
-        TRANCE_ASSIGN_OR_RETURN(nrc::TypePtr t,
-                                ScalarResultType(c.expr, in_schema));
-        fns.push_back(std::move(f));
-        out_schema.Append({c.name, t});
-      }
-      runtime::MapFn map = [fns, extend](const Row& r) {
-        Row out;
-        out.fields.reserve((extend ? r.fields.size() : 0) + fns.size());
-        if (extend) out.fields = r.fields;
-        for (const auto& f : fns) out.fields.push_back(f(r));
-        return out;
-      };
-      Partitioning part =
-          extend ? in.light.partitioning
-                 : ProjectPartitioning(in.light.partitioning, p->columns(),
-                                       in_schema);
-      SkewTriple out;
-      TRANCE_ASSIGN_OR_RETURN(
-          out.light, runtime::MapRows(cluster_, in.light, out_schema, map,
-                                      extend ? "extend" : "project", false,
-                                      part));
-      Partitioning hpart =
-          extend ? in.heavy.partitioning
-                 : ProjectPartitioning(in.heavy.partitioning, p->columns(),
-                                       in_schema);
-      TRANCE_ASSIGN_OR_RETURN(
-          out.heavy, runtime::MapRows(cluster_, in.heavy, out_schema, map,
-                                      extend ? "extend.h" : "project.h",
-                                      false, hpart));
-      // Heavy keys survive an Extend (column positions unchanged); a Project
-      // invalidates the recorded positions unless all key columns map.
-      if (extend) {
-        out.heavy_keys = in.heavy_keys;
-      } else if (in.heavy_keys.has_value()) {
-        Partitioning mapped = ProjectPartitioning(
-            Partitioning::Hash(in.heavy_keys->key_cols), p->columns(),
-            in_schema);
-        if (mapped.kind == Partitioning::Kind::kHash) {
-          // Copy the whole set so its storage mode rides along with the keys.
-          skew::HeavyKeySet hk = *in.heavy_keys;
-          hk.key_cols = mapped.key_cols;
-          out.heavy_keys = std::move(hk);
-        }
-      }
-      return out;
+      Pending pd = PendingFromTriple(std::move(in));
+      TRANCE_RETURN_NOT_OK(AppendNarrow(p, scope, &pd));
+      return Flush(std::move(pd));
     }
 
     case K::kJoin: {

@@ -133,6 +133,11 @@ class Executor {
   /// ExecPending for the six fusible narrow kinds: appends this node's
   /// transform to the child's pending chain.
   StatusOr<Pending> ExecPendingNarrow(const plan::PlanPtr& p);
+  /// Compiles a select, outer-select, project or extend node over `pd`'s
+  /// schema into a structured transform (cell predicate, pass-through
+  /// columns, compiled computed columns) and appends it to both chains.
+  Status AppendNarrow(const plan::PlanPtr& p, const std::string& scope,
+                      Pending* pd);
   /// Runs a pending chain as one fused stage per skew component.
   StatusOr<skew::SkewTriple> Flush(Pending pd);
   /// The per-node lowering (one stage per operator); used for every node

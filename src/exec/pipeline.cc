@@ -193,29 +193,28 @@ StatusOr<runtime::Dataset> UnshredRun(Executor* executor,
         runtime::CoGroup(cluster, parent, dict, {attr_col}, {label_col},
                          value_cols, "_unshred_bag",
                          "unshred(" + it->path + ")"));
-    // Replace the label column by the bag, in place.
+    // Replace the label column by the bag, in place: a pure-column
+    // projection (every output cell is a pass-through input cell).
     runtime::Schema out_schema;
-    std::vector<size_t> keep;
+    std::vector<runtime::ProjectColumn> keep;
     for (size_t i = 0; i + 1 < cg.schema.size(); ++i) {
+      runtime::ProjectColumn col;
       if (static_cast<int>(i) == attr_col) {
         out_schema.Append({it->attr, cg.schema.col(cg.schema.size() - 1).type});
-        keep.push_back(cg.schema.size() - 1);
+        col.src = static_cast<int>(cg.schema.size() - 1);
       } else {
         out_schema.Append(cg.schema.col(i));
-        keep.push_back(i);
+        col.src = static_cast<int>(i);
       }
+      keep.push_back(std::move(col));
     }
+    const std::string name = "unshred_project(" + it->path + ")";
     TRANCE_ASSIGN_OR_RETURN(
         runtime::Dataset replaced,
-        runtime::MapRows(
-            cluster, cg, out_schema,
-            [keep](const runtime::Row& r) {
-              runtime::Row out;
-              out.fields.reserve(keep.size());
-              for (size_t i : keep) out.fields.push_back(r.fields[i]);
-              return out;
-            },
-            "unshred_project(" + it->path + ")"));
+        runtime::RunStagePipeline(
+            cluster, cg, std::move(out_schema),
+            {runtime::RowTransform::Project(name, false, std::move(keep))},
+            runtime::Partitioning::None(), name));
     ds_map[it->parent_path] = std::move(replaced);
   }
   return ds_map[""];

@@ -11,10 +11,11 @@ using nrc::Expr;
 using nrc::ExprPtr;
 using nrc::Type;
 using nrc::TypePtr;
+using runtime::CellRow;
+using runtime::CellScalarFn;
 using runtime::Field;
-using runtime::Row;
 
-StatusOr<ScalarFn> Compile(const ExprPtr& e, const runtime::Schema& schema) {
+StatusOr<CellScalarFn> Compile(const ExprPtr& e, const runtime::Schema& schema) {
   using K = Expr::Kind;
   switch (e->kind()) {
     case K::kConst: {
@@ -35,16 +36,16 @@ StatusOr<ScalarFn> Compile(const ExprPtr& e, const runtime::Schema& schema) {
           f = Field::Bool(std::get<bool>(c.v));
           break;
       }
-      return ScalarFn([f](const Row&) { return f; });
+      return CellScalarFn([f](const CellRow&) { return f; });
     }
     case K::kVarRef: {
       TRANCE_ASSIGN_OR_RETURN(int idx, schema.Require(e->var_name()));
       size_t i = static_cast<size_t>(idx);
-      return ScalarFn([i](const Row& r) { return r.fields[i]; });
+      return CellScalarFn([i](const CellRow& r) { return r.Get(i); });
     }
     case K::kPrimOp: {
-      TRANCE_ASSIGN_OR_RETURN(ScalarFn a, Compile(e->child(0), schema));
-      TRANCE_ASSIGN_OR_RETURN(ScalarFn b, Compile(e->child(1), schema));
+      TRANCE_ASSIGN_OR_RETURN(CellScalarFn a, Compile(e->child(0), schema));
+      TRANCE_ASSIGN_OR_RETURN(CellScalarFn b, Compile(e->child(1), schema));
       TRANCE_ASSIGN_OR_RETURN(TypePtr ta,
                               ScalarResultType(e->child(0), schema));
       TRANCE_ASSIGN_OR_RETURN(TypePtr tb,
@@ -54,7 +55,7 @@ StatusOr<ScalarFn> Compile(const ExprPtr& e, const runtime::Schema& schema) {
           tb->is_scalar() && ta->scalar_kind() != nrc::ScalarKind::kReal &&
           tb->scalar_kind() != nrc::ScalarKind::kReal;
       nrc::PrimOpKind op = e->prim_op();
-      return ScalarFn([a, b, op, int_result](const Row& r) -> Field {
+      return CellScalarFn([a, b, op, int_result](const CellRow& r) -> Field {
         Field fa = a(r), fb = b(r);
         if (fa.is_null() || fb.is_null()) return Field::Null();
         double x = fa.AsNumber(), y = fb.AsNumber();
@@ -79,10 +80,10 @@ StatusOr<ScalarFn> Compile(const ExprPtr& e, const runtime::Schema& schema) {
       });
     }
     case K::kCmp: {
-      TRANCE_ASSIGN_OR_RETURN(ScalarFn a, Compile(e->child(0), schema));
-      TRANCE_ASSIGN_OR_RETURN(ScalarFn b, Compile(e->child(1), schema));
+      TRANCE_ASSIGN_OR_RETURN(CellScalarFn a, Compile(e->child(0), schema));
+      TRANCE_ASSIGN_OR_RETURN(CellScalarFn b, Compile(e->child(1), schema));
       nrc::CmpOpKind op = e->cmp_op();
-      return ScalarFn([a, b, op](const Row& r) -> Field {
+      return CellScalarFn([a, b, op](const CellRow& r) -> Field {
         Field fa = a(r), fb = b(r);
         if (fa.is_null() || fb.is_null()) return Field::Bool(false);
         switch (op) {
@@ -103,10 +104,10 @@ StatusOr<ScalarFn> Compile(const ExprPtr& e, const runtime::Schema& schema) {
       });
     }
     case K::kBoolOp: {
-      TRANCE_ASSIGN_OR_RETURN(ScalarFn a, Compile(e->child(0), schema));
-      TRANCE_ASSIGN_OR_RETURN(ScalarFn b, Compile(e->child(1), schema));
+      TRANCE_ASSIGN_OR_RETURN(CellScalarFn a, Compile(e->child(0), schema));
+      TRANCE_ASSIGN_OR_RETURN(CellScalarFn b, Compile(e->child(1), schema));
       bool is_and = e->bool_op() == nrc::BoolOpKind::kAnd;
-      return ScalarFn([a, b, is_and](const Row& r) -> Field {
+      return CellScalarFn([a, b, is_and](const CellRow& r) -> Field {
         Field fa = a(r);
         bool va = fa.is_bool() && fa.AsBool();
         if (is_and && !va) return Field::Bool(false);
@@ -116,19 +117,19 @@ StatusOr<ScalarFn> Compile(const ExprPtr& e, const runtime::Schema& schema) {
       });
     }
     case K::kNot: {
-      TRANCE_ASSIGN_OR_RETURN(ScalarFn a, Compile(e->child(0), schema));
-      return ScalarFn([a](const Row& r) -> Field {
+      TRANCE_ASSIGN_OR_RETURN(CellScalarFn a, Compile(e->child(0), schema));
+      return CellScalarFn([a](const CellRow& r) -> Field {
         Field fa = a(r);
         return Field::Bool(!(fa.is_bool() && fa.AsBool()));
       });
     }
     case K::kNewLabel: {
-      std::vector<std::pair<std::string, ScalarFn>> params;
+      std::vector<std::pair<std::string, CellScalarFn>> params;
       for (const auto& p : e->fields()) {
-        TRANCE_ASSIGN_OR_RETURN(ScalarFn pf, Compile(p.expr, schema));
+        TRANCE_ASSIGN_OR_RETURN(CellScalarFn pf, Compile(p.expr, schema));
         params.emplace_back(p.name, pf);
       }
-      return ScalarFn([params](const Row& r) -> Field {
+      return CellScalarFn([params](const CellRow& r) -> Field {
         std::vector<std::pair<std::string, Field>> vals;
         vals.reserve(params.size());
         for (const auto& [n, f] : params) vals.emplace_back(n, f(r));
@@ -143,9 +144,24 @@ StatusOr<ScalarFn> Compile(const ExprPtr& e, const runtime::Schema& schema) {
 
 }  // namespace
 
+StatusOr<runtime::CellScalarFn> CompileCellScalar(
+    const nrc::ExprPtr& e, const runtime::Schema& schema) {
+  return Compile(e, schema);
+}
+
+StatusOr<runtime::CellPredFn> CompileCellPredicate(
+    const nrc::ExprPtr& e, const runtime::Schema& schema) {
+  TRANCE_ASSIGN_OR_RETURN(CellScalarFn f, Compile(e, schema));
+  return runtime::CellPredFn([f](const CellRow& r) {
+    Field v = f(r);
+    return v.is_bool() && v.AsBool();
+  });
+}
+
 StatusOr<ScalarFn> CompileScalar(const nrc::ExprPtr& e,
                                  const runtime::Schema& schema) {
-  return Compile(e, schema);
+  TRANCE_ASSIGN_OR_RETURN(CellScalarFn f, Compile(e, schema));
+  return ScalarFn([f](const runtime::Row& r) { return f(CellRow(r)); });
 }
 
 StatusOr<nrc::TypePtr> ScalarResultType(const nrc::ExprPtr& e,
@@ -181,12 +197,10 @@ StatusOr<nrc::TypePtr> ScalarResultType(const nrc::ExprPtr& e,
 
 StatusOr<std::function<bool(const runtime::Row&)>> CompilePredicate(
     const nrc::ExprPtr& e, const runtime::Schema& schema) {
-  TRANCE_ASSIGN_OR_RETURN(ScalarFn f, CompileScalar(e, schema));
+  TRANCE_ASSIGN_OR_RETURN(runtime::CellPredFn f,
+                          CompileCellPredicate(e, schema));
   return std::function<bool(const runtime::Row&)>(
-      [f](const runtime::Row& r) {
-        runtime::Field v = f(r);
-        return v.is_bool() && v.AsBool();
-      });
+      [f](const runtime::Row& r) { return f(CellRow(r)); });
 }
 
 }  // namespace exec

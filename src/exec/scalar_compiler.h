@@ -1,7 +1,10 @@
 // Compiles plan scalar expressions (NRC scalar nodes whose free variables
-// are column names) into closures over runtime rows, with SQL-style NULL
-// propagation: NULL operands make arithmetic NULL and comparisons false.
-// NewLabel expressions evaluate to runtime labels.
+// are column names) into closures over a cell accessor (runtime::CellRow,
+// `Field Get(size_t)`), with SQL-style NULL propagation: NULL operands make
+// arithmetic NULL and comparisons false. NewLabel expressions evaluate to
+// runtime labels. The fused-stage runner evaluates the cell closures
+// directly on cell references; CompileScalar / CompilePredicate are thin
+// adapters over a runtime::Row.
 #ifndef TRANCE_EXEC_SCALAR_COMPILER_H_
 #define TRANCE_EXEC_SCALAR_COMPILER_H_
 
@@ -10,6 +13,7 @@
 #include "nrc/expr.h"
 #include "runtime/field.h"
 #include "runtime/schema.h"
+#include "runtime/stage_pipeline.h"
 #include "util/status.h"
 
 namespace trance {
@@ -17,8 +21,16 @@ namespace exec {
 
 using ScalarFn = std::function<runtime::Field(const runtime::Row&)>;
 
-/// Compiles `e` against `schema`; fails if a referenced column is missing or
-/// a node kind has no row-level meaning.
+/// Compiles `e` against `schema` into a closure over a row's cells; fails if
+/// a referenced column is missing or a node kind has no row-level meaning.
+StatusOr<runtime::CellScalarFn> CompileCellScalar(
+    const nrc::ExprPtr& e, const runtime::Schema& schema);
+
+/// Compiles a boolean expression into a cell predicate (NULL -> false).
+StatusOr<runtime::CellPredFn> CompileCellPredicate(
+    const nrc::ExprPtr& e, const runtime::Schema& schema);
+
+/// CompileCellScalar evaluated on a Row.
 StatusOr<ScalarFn> CompileScalar(const nrc::ExprPtr& e,
                                  const runtime::Schema& schema);
 
@@ -26,7 +38,7 @@ StatusOr<ScalarFn> CompileScalar(const nrc::ExprPtr& e,
 StatusOr<nrc::TypePtr> ScalarResultType(const nrc::ExprPtr& e,
                                         const runtime::Schema& schema);
 
-/// Compiles a boolean expression into a predicate (NULL -> false).
+/// CompileCellPredicate evaluated on a Row.
 StatusOr<std::function<bool(const runtime::Row&)>> CompilePredicate(
     const nrc::ExprPtr& e, const runtime::Schema& schema);
 

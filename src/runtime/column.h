@@ -266,6 +266,8 @@ class PartitionBlock {
 
   bool ragged() const { return ragged_mode_; }
   const AnyColumn& col(size_t i) const { return cols_[i]; }
+  /// Row i of a ragged block, borrowed (valid only when ragged()).
+  const Row& ragged_row(size_t i) const { return ragged_[i]; }
 
  private:
   void DemoteToRagged();

@@ -19,6 +19,10 @@ int VariantRank(const Field& f) {
 }
 }  // namespace
 
+BagRows::BagRows(std::vector<Row> rows) : std::vector<Row>(std::move(rows)) {
+  for (const auto& r : *this) rows_deep_size_ += RowDeepSize(r);
+}
+
 uint64_t Field::Hash() const {
   if (is_null()) return 0x9E11;
   if (is_int()) return Mix64(static_cast<uint64_t>(AsInt()) ^ 0x11);
@@ -44,11 +48,7 @@ uint64_t Field::DeepSize() const {
     return s;
   }
   if (is_bag()) {
-    uint64_t s = 32;
-    if (AsBag() != nullptr) {
-      for (const auto& r : *AsBag()) s += RowDeepSize(r);
-    }
-    return s;
+    return 32 + (AsBag() != nullptr ? AsBag()->rows_deep_size() : 0);
   }
   return 8;
 }
@@ -135,8 +135,9 @@ bool FieldLess(const Field& a, const Field& b) {
     return pa.size() < pb.size();
   }
   // Bags: compare canonically sorted contents.
-  std::vector<Row> sa = a.AsBag() == nullptr ? std::vector<Row>{} : *a.AsBag();
-  std::vector<Row> sb = b.AsBag() == nullptr ? std::vector<Row>{} : *b.AsBag();
+  std::vector<Row> sa, sb;
+  if (a.AsBag() != nullptr) sa = *a.AsBag();
+  if (b.AsBag() != nullptr) sb = *b.AsBag();
   std::sort(sa.begin(), sa.end(), RowLess);
   std::sort(sb.begin(), sb.end(), RowLess);
   size_t n = std::min(sa.size(), sb.size());

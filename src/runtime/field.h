@@ -9,7 +9,8 @@
 //
 // Memory accounting (DeepSize) includes nested bag contents, so a partition
 // holding few rows with enormous inner collections correctly saturates the
-// simulated worker memory.
+// simulated worker memory. Bags are immutable and sum their deep size once,
+// when Field::Bag builds them, so sizing a bag cell never re-walks it.
 #ifndef TRANCE_RUNTIME_FIELD_H_
 #define TRANCE_RUNTIME_FIELD_H_
 
@@ -38,7 +39,20 @@ struct Row {
 
 struct RtLabel;
 using LabelPtr = std::shared_ptr<const RtLabel>;
-using BagPtr = std::shared_ptr<const std::vector<Row>>;
+
+/// The rows of an immutable local nested bag. Every bag is built through
+/// Field::Bag, which sums the rows' deep size here once, at construction:
+/// a bag cell's Field::DeepSize is O(1) and equals the recursive walk.
+class BagRows : public std::vector<Row> {
+ public:
+  explicit BagRows(std::vector<Row> rows);
+  /// Sum of RowDeepSize over the rows.
+  uint64_t rows_deep_size() const { return rows_deep_size_; }
+
+ private:
+  uint64_t rows_deep_size_ = 0;
+};
+using BagPtr = std::shared_ptr<const BagRows>;
 
 /// One cell of a row.
 class Field {
@@ -55,7 +69,7 @@ class Field {
   static Field Label(LabelPtr l) { return Field(Repr(std::move(l))); }
   static Field Bag(BagPtr b) { return Field(Repr(std::move(b))); }
   static Field Bag(std::vector<Row> rows) {
-    return Bag(std::make_shared<const std::vector<Row>>(std::move(rows)));
+    return Bag(std::make_shared<const BagRows>(std::move(rows)));
   }
 
   bool is_null() const { return std::holds_alternative<std::monostate>(repr_); }
@@ -77,7 +91,8 @@ class Field {
   }
 
   uint64_t Hash() const;
-  /// Approximate in-memory footprint in bytes, recursing into bags/labels.
+  /// Approximate in-memory footprint in bytes, including nested bag and
+  /// label contents (a bag's part is its construction-time memo).
   uint64_t DeepSize() const;
   std::string ToString() const;
 

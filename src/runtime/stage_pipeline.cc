@@ -81,27 +81,289 @@ Status FinishStage(Cluster* cluster, StageStats stage, Dataset* result,
 
 namespace {
 
+using K = RowTransform::Kind;
+
 /// Whether the standalone form of this transform charges its emitted rows to
-/// the work meter (filter and add-index historically charge input only /
-/// nothing; the others charge input + output).
-bool ChargesEmitted(RowTransform::Kind k) {
+/// the work meter (select/filter and add-index historically charge input
+/// only / nothing; the others charge input + output).
+bool ChargesEmitted(K k) {
   switch (k) {
-    case RowTransform::Kind::kMap:
-    case RowTransform::Kind::kFlatMap:
-    case RowTransform::Kind::kUnnest:
-    case RowTransform::Kind::kOuterUnnest:
+    case K::kOuterSelect:
+    case K::kProject:
+    case K::kUnnest:
+    case K::kOuterUnnest:
+    case K::kMap:
+    case K::kFlatMap:
       return true;
-    case RowTransform::Kind::kFilter:
-    case RowTransform::Kind::kAddIndex:
+    case K::kSelect:
+    case K::kFilter:
+    case K::kAddIndex:
       return false;
   }
   return false;
 }
 
+/// The NULL that outer-select and outer-unnest cells borrow.
+const Field& NullField() {
+  static const Field kNull;
+  return kNull;
+}
+
+constexpr uint64_t kUnknownBytes = ~uint64_t{0};
+
+uint64_t RowBytes(const Cell* cells, size_t n) {
+  uint64_t s = 8;  // RowDeepSize row overhead
+  for (size_t c = 0; c < n; ++c) s += cells[c].Bytes();
+  return s;
+}
+
+Row BuildRow(const Cell* cells, size_t n) {
+  Row r;
+  r.fields.reserve(n);
+  for (size_t c = 0; c < n; ++c) r.fields.push_back(cells[c].Get());
+  return r;
+}
+
+/// The bag a cell holds, or nullptr when it holds no bag (a NULL BagPtr, a
+/// NULL or a scalar cell).
+const BagRows* BagOf(const Cell& cell) {
+  const Field* f = cell.AsField();
+  return f != nullptr && f->is_bag() ? f->AsBag().get() : nullptr;
+}
+
+void BorrowRow(const Row& r, std::vector<Cell>* cells) {
+  cells->clear();
+  for (const Field& f : r.fields) cells->push_back(Cell::Borrow(&f));
+}
+
+/// One partition's walk of a chain: the per-level scratch every emitted
+/// cell borrows from, plus the task-local counters the task folds into the
+/// stage's per-partition slots once, at its end. The walk is depth-first,
+/// so a level's scratch stays untouched while the row it produced travels
+/// down the rest of the chain.
+class ChainWalk {
+ public:
+  ChainWalk(const std::vector<RowTransform>& chain, size_t p,
+            bool charge_final, Dataset* out)
+      : rows(chain.size(), 0),
+        chain_(chain),
+        p_(p),
+        charge_final_(charge_final),
+        out_(out),
+        levels_(chain.size()) {
+    for (size_t i = 0; i < chain.size(); ++i) {
+      const RowTransform& t = chain[i];
+      if (t.kind == K::kProject) levels_[i].computed.resize(t.columns.size());
+      if (t.kind == K::kOuterUnnest || t.kind == K::kAddIndex) {
+        levels_[i].computed.resize(1);  // the id cell
+      }
+    }
+  }
+
+  /// Runs transform i (and everything after it) on one row of cells.
+  /// `in_bytes` is the row's Field-accounting size when the caller already
+  /// knows it, else kUnknownBytes.
+  void Feed(size_t i, const Cell* in, size_t n, uint64_t in_bytes);
+
+  uint64_t work = 0;       // emitted bytes charged to the work meter
+  uint64_t out_bytes = 0;  // final output footprint
+  uint64_t avoided = 0;    // intermediate bytes never materialized
+  std::vector<uint64_t> rows;  // rows emitted per transform
+
+ private:
+  struct Level {
+    std::vector<Cell> cells;     // this transform's output row
+    std::vector<Field> computed;  // computed cells (fixed size: stable)
+    Row row;                     // kMap result
+    std::vector<Row> flat_rows;  // kFlatMap results
+    int64_t uid = 0;             // kOuterUnnest / kAddIndex id counter
+  };
+
+  void Emit(size_t i, const Cell* cells, size_t n, uint64_t bytes);
+  void Output(const Cell* cells, size_t n);
+  /// Appends `in` minus the bag column to the level's cells; returns the
+  /// resulting width (where each bag element's fields start).
+  size_t BagPrefix(Level* level, const Cell* in, size_t n, int bag_col);
+  /// Emits one row per bag element: the level's first `prefix` cells
+  /// followed by the element's borrowed fields.
+  void EmitElements(size_t i, Level* level, size_t prefix,
+                    const BagRows& bag);
+
+  const std::vector<RowTransform>& chain_;
+  const size_t p_;
+  const bool charge_final_;
+  Dataset* const out_;
+  std::vector<Level> levels_;
+};
+
+void ChainWalk::Emit(size_t i, const Cell* cells, size_t n, uint64_t bytes) {
+  ++rows[i];
+  if (bytes == kUnknownBytes) bytes = RowBytes(cells, n);
+  if (i + 1 < chain_.size()) {
+    avoided += bytes;
+    Feed(i + 1, cells, n, bytes);
+    return;
+  }
+  out_bytes += bytes;
+  if (charge_final_) work += bytes;
+  Output(cells, n);
+}
+
+void ChainWalk::Output(const Cell* cells, size_t n) {
+  if (!out_->store.block_resident()) {
+    out_->store.rows(p_).push_back(BuildRow(cells, n));
+    return;
+  }
+  column::PartitionBlock& block = out_->store.block(p_);
+  if (block.ragged() || n != block.NumCols()) {
+    block.AppendRow(BuildRow(cells, n));  // demotes to the ragged fallback
+    return;
+  }
+  block.AppendColumns(1, [cells](size_t c, column::AnyColumn* col) {
+    cells[c].AppendTo(col);
+  });
+}
+
+size_t ChainWalk::BagPrefix(Level* level, const Cell* in, size_t n,
+                            int bag_col) {
+  for (size_t c = 0; c < n; ++c) {
+    if (static_cast<int>(c) != bag_col) level->cells.push_back(in[c]);
+  }
+  return level->cells.size();
+}
+
+void ChainWalk::EmitElements(size_t i, Level* level, size_t prefix,
+                             const BagRows& bag) {
+  for (const Row& element : bag) {
+    level->cells.resize(prefix);
+    for (const Field& f : element.fields) {
+      level->cells.push_back(Cell::Borrow(&f));
+    }
+    Emit(i, level->cells.data(), level->cells.size(), kUnknownBytes);
+  }
+}
+
+void ChainWalk::Feed(size_t i, const Cell* in, size_t n, uint64_t in_bytes) {
+  const RowTransform& t = chain_[i];
+  Level& level = levels_[i];
+  switch (t.kind) {
+    case K::kSelect:
+      if (t.cell_pred(CellRow(in, n))) Emit(i, in, n, in_bytes);
+      return;
+    case K::kOuterSelect: {
+      if (t.cell_pred(CellRow(in, n))) {
+        Emit(i, in, n, in_bytes);
+        return;
+      }
+      level.cells.assign(in, in + n);
+      for (size_t c = 0; c < n; ++c) {
+        if (c >= t.keep.size() || !t.keep[c]) {
+          level.cells[c] = Cell::Borrow(&NullField());
+        }
+      }
+      Emit(i, level.cells.data(), n, kUnknownBytes);
+      return;
+    }
+    case K::kProject: {
+      level.cells.clear();
+      if (t.extend) level.cells.assign(in, in + n);
+      const CellRow row(in, n);
+      for (size_t k = 0; k < t.columns.size(); ++k) {
+        const ProjectColumn& c = t.columns[k];
+        if (c.src >= 0) {
+          level.cells.push_back(in[static_cast<size_t>(c.src)]);
+        } else {
+          level.computed[k] = c.fn(row);
+          level.cells.push_back(Cell::Borrow(&level.computed[k]));
+        }
+      }
+      Emit(i, level.cells.data(), level.cells.size(), kUnknownBytes);
+      return;
+    }
+    case K::kUnnest: {
+      const BagRows* bag = BagOf(in[static_cast<size_t>(t.bag_col)]);
+      if (bag == nullptr) return;
+      level.cells.clear();
+      EmitElements(i, &level, BagPrefix(&level, in, n, t.bag_col), *bag);
+      return;
+    }
+    case K::kOuterUnnest: {
+      const int64_t u = (static_cast<int64_t>(p_) << 40) | level.uid++;
+      level.cells.clear();
+      if (t.with_id) {
+        level.computed[0] = Field::Int(u);
+        level.cells.push_back(Cell::Borrow(&level.computed[0]));
+      }
+      const size_t prefix = BagPrefix(&level, in, n, t.bag_col);
+      const BagRows* bag = BagOf(in[static_cast<size_t>(t.bag_col)]);
+      if (bag != nullptr && !bag->empty()) {
+        EmitElements(i, &level, prefix, *bag);
+        return;
+      }
+      for (size_t k = 0; k < t.inner_width; ++k) {
+        level.cells.push_back(Cell::Borrow(&NullField()));
+      }
+      Emit(i, level.cells.data(), level.cells.size(), kUnknownBytes);
+      return;
+    }
+    case K::kAddIndex: {
+      level.computed[0] =
+          Field::Int((static_cast<int64_t>(p_) << 40) | level.uid++);
+      level.cells.assign(in, in + n);
+      level.cells.push_back(Cell::Borrow(&level.computed[0]));
+      Emit(i, level.cells.data(), level.cells.size(), kUnknownBytes);
+      return;
+    }
+    case K::kMap:
+      level.row = t.map(BuildRow(in, n));
+      BorrowRow(level.row, &level.cells);
+      Emit(i, level.cells.data(), level.cells.size(), kUnknownBytes);
+      return;
+    case K::kFilter:
+      if (t.pred(BuildRow(in, n))) Emit(i, in, n, in_bytes);
+      return;
+    case K::kFlatMap:
+      level.flat_rows.clear();
+      t.flat_map(BuildRow(in, n), &level.flat_rows);
+      for (const Row& r : level.flat_rows) {
+        BorrowRow(r, &level.cells);
+        Emit(i, level.cells.data(), level.cells.size(), kUnknownBytes);
+      }
+      return;
+  }
+}
+
 }  // namespace
 
-RowTransform RowTransform::Map(std::string op, MapFn fn) {
+RowTransform RowTransform::Select(std::string op, CellPredFn pred) {
   RowTransform t;
+  t.kind = Kind::kSelect;
+  t.op = std::move(op);
+  t.cell_pred = std::move(pred);
+  return t;
+}
+
+RowTransform RowTransform::OuterSelect(std::string op, CellPredFn pred,
+                                       std::vector<bool> keep) {
+  RowTransform t;
+  t.kind = Kind::kOuterSelect;
+  t.op = std::move(op);
+  t.cell_pred = std::move(pred);
+  t.keep = std::move(keep);
+  return t;
+}
+
+RowTransform RowTransform::Project(std::string op, bool extend,
+                                   std::vector<ProjectColumn> columns) {
+  RowTransform t;
+  t.kind = Kind::kProject;
+  t.op = std::move(op);
+  t.extend = extend;
+  t.columns = std::move(columns);
+  return t;
+}
+
+RowTransform RowTransform::Map(std::string op, MapFn fn) {  RowTransform t;
   t.kind = Kind::kMap;
   t.op = std::move(op);
   t.map = std::move(fn);
@@ -166,7 +428,7 @@ StatusOr<Dataset> RunStagePipeline(Cluster* cluster, const Dataset& in,
   // separately as intermediate_bytes_avoided.
   bool charge_input = false;
   for (const auto& t : chain) {
-    if (t.kind != RowTransform::Kind::kAddIndex) charge_input = true;
+    if (t.kind != K::kAddIndex) charge_input = true;
   }
   const bool charge_final = ChargesEmitted(chain.back().kind);
   const bool track_work = charge_input || charge_final;
@@ -193,125 +455,60 @@ StatusOr<Dataset> RunStagePipeline(Cluster* cluster, const Dataset& in,
   std::vector<std::vector<uint64_t>> transform_rows(
       nparts, std::vector<uint64_t>(len, 0));
 
-  // Columnar mode scans the (typically block-resident) input and appends
-  // emitted rows straight into the output partition's resident block — no
-  // pack/unpack round-trip on either side. Blocks are lossless, and all
-  // work/byte charges are computed from the identical Field values, so every
-  // pre-existing stat matches the row path bit-for-bit; only the new
-  // columnar_bytes counter observes the mode (the per-row reads feeding the
-  // chain are transient, so they do not count as conversions — see
-  // column_to_row_conversions in docs/METRICS.md).
-
+  // One cell walk for every residence: block inputs feed block cells
+  // (ragged blocks and row-resident inputs feed cells borrowing the row's
+  // Fields), and the output appends column to column into the partition's
+  // resident block. Blocks are lossless and every byte charge is the Field
+  // accounting of the identical values, so each stat matches the row-level
+  // definition bit-for-bit; only columnar_bytes observes the residence. No
+  // row is materialized on the way (column_to_row_conversions in
+  // docs/METRICS.md).
   auto task = [&](size_t p) {
-    // Per-partition id counters reproduce the standalone operators' uid
-    // scheme exactly: ids depend only on the partition and the row order,
-    // both of which fusion preserves (and they live inside the task, so a
-    // recovery re-execution restarts them from zero).
-    std::vector<int64_t> uid(len, 0);
-    std::vector<uint64_t>& t_rows = transform_rows[p];
-
-    std::function<void(size_t, const Row&)> feed = [&](size_t i,
-                                                       const Row& row) {
-      const RowTransform& t = chain[i];
-      auto emit = [&](Row r) {
-        ++t_rows[i];
-        if (i + 1 == len) {
-          uint64_t sz = RowDeepSize(r);
-          out_bytes[p] += sz;
-          if (charge_final) work[p] += sz;
-          if (columnar) {
-            out.store.block(p).AppendRow(r);
-          } else {
-            out.store.rows(p).push_back(std::move(r));
-          }
-        } else {
-          avoided[p] += RowDeepSize(r);
-          feed(i + 1, r);
-        }
-      };
-      switch (t.kind) {
-        case RowTransform::Kind::kMap:
-          emit(t.map(row));
-          break;
-        case RowTransform::Kind::kFilter:
-          if (t.pred(row)) emit(row);
-          break;
-        case RowTransform::Kind::kFlatMap: {
-          std::vector<Row> buf;
-          t.flat_map(row, &buf);
-          for (auto& r : buf) emit(std::move(r));
-          break;
-        }
-        case RowTransform::Kind::kUnnest: {
-          const Field& bag = row.fields[static_cast<size_t>(t.bag_col)];
-          if (!bag.is_bag() || bag.AsBag() == nullptr) break;
-          for (const auto& inner : *bag.AsBag()) {
-            Row r;
-            r.fields.reserve(row.fields.size() - 1 + inner.fields.size());
-            for (size_t c = 0; c < row.fields.size(); ++c) {
-              if (static_cast<int>(c) == t.bag_col) continue;
-              r.fields.push_back(row.fields[c]);
-            }
-            for (const auto& f : inner.fields) r.fields.push_back(f);
-            emit(std::move(r));
-          }
-          break;
-        }
-        case RowTransform::Kind::kOuterUnnest: {
-          int64_t u = (static_cast<int64_t>(p) << 40) | uid[i]++;
-          const Field& bag = row.fields[static_cast<size_t>(t.bag_col)];
-          auto emit_inner = [&](const Row* inner) {
-            Row r;
-            r.fields.reserve((t.with_id ? 1 : 0) + row.fields.size() - 1 +
-                             t.inner_width);
-            if (t.with_id) r.fields.push_back(Field::Int(u));
-            for (size_t c = 0; c < row.fields.size(); ++c) {
-              if (static_cast<int>(c) == t.bag_col) continue;
-              r.fields.push_back(row.fields[c]);
-            }
-            if (inner != nullptr) {
-              for (const auto& f : inner->fields) r.fields.push_back(f);
-            } else {
-              for (size_t k = 0; k < t.inner_width; ++k) {
-                r.fields.push_back(Field::Null());
-              }
-            }
-            emit(std::move(r));
-          };
-          if (!bag.is_bag() || bag.AsBag() == nullptr || bag.AsBag()->empty()) {
-            emit_inner(nullptr);
-          } else {
-            for (const auto& inner : *bag.AsBag()) emit_inner(&inner);
-          }
-          break;
-        }
-        case RowTransform::Kind::kAddIndex: {
-          Row r = row;
-          r.fields.push_back(
-              Field::Int((static_cast<int64_t>(p) << 40) | uid[i]++));
-          emit(std::move(r));
-          break;
-        }
+    // The walk's per-level id counters reproduce the standalone operators'
+    // uid scheme exactly: ids depend only on the partition and the row
+    // order, both of which fusion preserves (and they live inside the task,
+    // so a recovery re-execution restarts them from zero).
+    ChainWalk walk(chain, p, charge_final, &out);
+    uint64_t in_work = 0;
+    std::vector<Cell> cells;
+    auto feed_row = [&](const Row& row) {
+      BorrowRow(row, &cells);
+      uint64_t bytes = kUnknownBytes;
+      if (charge_input) {
+        bytes = RowDeepSize(row);
+        in_work += bytes;
       }
+      walk.Feed(0, cells.data(), cells.size(), bytes);
     };
-
-    rows_in[p] = in.store.RowCount(p);
-    if (in.store.block_resident()) {
-      const column::PartitionBlock& in_block = in.store.block(p);
-      const size_t n = in_block.NumRows();
-      for (size_t i = 0; i < n; ++i) {
-        Row row = in_block.RowAt(i);  // transient: feeds the chain, then dies
-        if (charge_input) work[p] += RowDeepSize(row);
-        feed(0, row);
+    if (!in.store.block_resident()) {
+      for (const Row& row : in.store.rows(p)) feed_row(row);
+    } else if (in.store.block(p).ragged()) {
+      const column::PartitionBlock& block = in.store.block(p);
+      for (size_t r = 0; r < block.NumRows(); ++r) {
+        feed_row(block.ragged_row(r));
       }
     } else {
-      const std::vector<Row>& in_rows = in.store.rows(p);
-      for (const auto& row : in_rows) {
-        if (charge_input) work[p] += RowDeepSize(row);
-        feed(0, row);
+      const column::PartitionBlock& block = in.store.block(p);
+      cells.clear();
+      for (size_t c = 0; c < block.NumCols(); ++c) {
+        cells.push_back(Cell::Block(&block.col(c), 0));
+      }
+      for (size_t r = 0; r < block.NumRows(); ++r) {
+        for (Cell& cell : cells) cell.row = r;
+        uint64_t bytes = kUnknownBytes;
+        if (charge_input) {
+          bytes = block.RowBytesAt(r);
+          in_work += bytes;
+        }
+        walk.Feed(0, cells.data(), cells.size(), bytes);
       }
     }
-    if (columnar) col_bytes[p] += out.store.block(p).ByteFootprint();
+    rows_in[p] = in.store.RowCount(p);
+    work[p] = in_work + walk.work;
+    out_bytes[p] = walk.out_bytes;
+    avoided[p] = walk.avoided;
+    transform_rows[p] = std::move(walk.rows);
+    if (columnar) col_bytes[p] = out.store.block(p).ByteFootprint();
   };
 
   StageStats stage;

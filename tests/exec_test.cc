@@ -1,5 +1,6 @@
 // Tests for the exec layer: the scalar expression compiler (NULL
-// propagation, label construction), the value<->row bridge round-trips, and
+// propagation, label construction, the cell accessor against the Row
+// adapter), the value<->row bridge round-trips, and
 // executor-level behaviours (broadcast threshold, program registry).
 #include <gtest/gtest.h>
 
@@ -8,6 +9,8 @@
 #include "exec/scalar_compiler.h"
 #include "nrc/builder.h"
 #include "plan/plan.h"
+#include "runtime/column.h"
+#include "runtime/stage_pipeline.h"
 #include "util/random.h"
 
 namespace trance {
@@ -81,6 +84,41 @@ TEST(ScalarCompilerTest, NewLabelBuildsRuntimeLabels) {
   EXPECT_EQ((*f)(r1), (*f)(r2));
   Row r3({Field::Int(8), Field::Real(0), Field::Str("x"), Field::Bool(true)});
   EXPECT_NE((*f)(r1), (*f)(r3));
+}
+
+TEST(ScalarCompilerTest, CellAccessorMatchesRowAdapter) {
+  // The same compiled expressions evaluated on block cells, on borrowed
+  // Fields, and through the Row adapter must agree — including NULLs and a
+  // column demoted to variant mid-block.
+  Schema schema = TestSchema();
+  std::vector<Row> rows{
+      Row({Field::Int(3), Field::Real(2.5), Field::Str("x"), Field::Bool(true)}),
+      Row({Field::Null(), Field::Real(0.0), Field::Null(), Field::Bool(false)}),
+      Row({Field::Real(4.5), Field::Null(), Field::Str("yy"), Field::Null()})};
+  auto block = runtime::column::PartitionBlock::FromRows(schema, rows);
+  std::vector<nrc::ExprPtr> exprs = {
+      Mul(Add(V("a"), I(1)), V("b")), Div(V("a"), V("b")), Eq(V("s"), S("x")),
+      Lt(V("a"), R(4.0)), And(V("flag"), Lt(V("b"), R(1.0))),
+      Expr::NewLabel({{"k", V("a")}, {"t", V("s")}}), V("s")};
+  for (const auto& e : exprs) {
+    auto cell_fn = exec::CompileCellScalar(e, schema);
+    auto row_fn = CompileScalar(e, schema);
+    ASSERT_TRUE(cell_fn.ok() && row_fn.ok());
+    for (size_t i = 0; i < rows.size(); ++i) {
+      std::vector<runtime::Cell> block_cells, field_cells;
+      for (size_t c = 0; c < schema.size(); ++c) {
+        block_cells.push_back(runtime::Cell::Block(&block.col(c), i));
+        field_cells.push_back(runtime::Cell::Borrow(&rows[i].fields[c]));
+      }
+      Field want = (*row_fn)(rows[i]);
+      Field from_block =
+          (*cell_fn)(runtime::CellRow(block_cells.data(), block_cells.size()));
+      Field from_fields =
+          (*cell_fn)(runtime::CellRow(field_cells.data(), field_cells.size()));
+      EXPECT_EQ(from_block.ToString(), want.ToString()) << "row " << i;
+      EXPECT_EQ(from_fields.ToString(), want.ToString()) << "row " << i;
+    }
+  }
 }
 
 TEST(BridgeTest, RowValueRoundTripFlat) {

@@ -3,10 +3,16 @@
 // shuffle bytes, and identical EXPLAIN ANALYZE per-operator row counts with
 // fusion on and off, at 1 and 4 threads. Fusion is purely an execution
 // strategy — it changes how many stages run, never what they compute.
+//
+// The cell-runner parity property (CellRunnerParityTest) checks the fused
+// runner itself: random narrow chains over random nested partitions give
+// the same rows, byte accounting and stage stats whether the chain runs as
+// structured transforms over cell references or as opaque Row closures.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <map>
+#include <random>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -14,10 +20,13 @@
 
 #include "exec/bridge.h"
 #include "exec/pipeline.h"
+#include "exec/scalar_compiler.h"
+#include "nrc/builder.h"
 #include "nrc/interp.h"
 #include "obs/explain.h"
 #include "runtime/cluster.h"
 #include "runtime/ops.h"
+#include "runtime/stage_pipeline.h"
 #include "tpch/generator.h"
 #include "tpch/queries.h"
 
@@ -307,6 +316,446 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(0, 1, 2),
                        ::testing::Values(0, 1, 2, 3, 4)),
     FusionParamName);
+
+
+// ---------------------------------------------------------------------------
+// Cell-runner parity property.
+
+using nrc::Expr;
+using nrc::ExprPtr;
+using nrc::Type;
+using runtime::Field;
+using runtime::RowTransform;
+using runtime::Schema;
+
+constexpr size_t kParityPartitions = 8;
+
+/// (x: int, y: string, z: {(w: int)}) — a bag whose elements carry a bag.
+nrc::TypePtr ParityBagType() {
+  return nrc::dsl::BagTu({{"x", Type::Int()},
+                          {"y", Type::String()},
+                          {"z", nrc::dsl::BagTu({{"w", Type::Int()}})}});
+}
+
+Schema ParitySchema() {
+  return Schema({{"i", Type::Int()},
+                 {"r", Type::Real()},
+                 {"s", Type::String()},
+                 {"b", Type::Bool()},
+                 {"l", Type::Label()},
+                 {"g", ParityBagType()}});
+}
+
+/// A random cell for column `c` of ParitySchema: ~10% NULL, ~3% a value of
+/// another kind (which demotes a typed block column to variant mid-block).
+Field RandomParityCell(std::mt19937_64& rng, size_t c) {
+  if (rng() % 10 == 0) return Field::Null();
+  if (c < 4 && rng() % 32 == 0) {
+    return c == 0 ? Field::Real(0.5 * static_cast<double>(rng() % 9))
+                  : Field::Int(static_cast<int64_t>(rng() % 9));
+  }
+  switch (c) {
+    case 0: return Field::Int(static_cast<int64_t>(rng() % 20) - 5);
+    case 1: return Field::Real(static_cast<double>(rng() % 100) / 64.0);
+    case 2: return Field::Str("s" + std::to_string(rng() % 7));
+    case 3: return Field::Bool(rng() % 2 == 0);
+    case 4:
+      return runtime::MakeLabel({{"k", Field::Int(static_cast<int64_t>(
+                                           rng() % 5))},
+                                 {"t", Field::Str("t")}});
+    default: {
+      if (rng() % 8 == 0) return Field::Bag(runtime::BagPtr());
+      std::vector<Row> elems;
+      for (size_t e = rng() % 4; e > 0; --e) {
+        std::vector<Row> inner;
+        for (size_t w = rng() % 3; w > 0; --w) {
+          inner.push_back(Row({Field::Int(static_cast<int64_t>(rng() % 9))}));
+        }
+        elems.push_back(Row({Field::Int(static_cast<int64_t>(rng() % 9)),
+                             Field::Str("y" + std::to_string(rng() % 5)),
+                             Field::Bag(std::move(inner))}));
+      }
+      return Field::Bag(std::move(elems));
+    }
+  }
+}
+
+/// Random partitions over ParitySchema; about a quarter of the partitions
+/// carry one ragged row (an extra trailing column), which demotes that
+/// partition's block to the ragged fallback.
+std::vector<std::vector<Row>> RandomParityPartitions(std::mt19937_64& rng) {
+  std::vector<std::vector<Row>> parts(kParityPartitions);
+  for (auto& part : parts) {
+    const size_t n = rng() % 24;
+    const size_t ragged_at = rng() % 4 == 0 ? rng() % (n + 1) : n + 1;
+    for (size_t i = 0; i < n; ++i) {
+      Row r;
+      for (size_t c = 0; c < 6; ++c) r.fields.push_back(RandomParityCell(rng, c));
+      if (i == ragged_at) r.fields.push_back(Field::Int(-1));
+      part.push_back(std::move(r));
+    }
+  }
+  return parts;
+}
+
+Dataset ParityInput(const Schema& schema,
+                    const std::vector<std::vector<Row>>& parts, bool blocks) {
+  Dataset ds;
+  ds.schema = schema;
+  if (blocks) {
+    std::vector<runtime::column::PartitionBlock> bs;
+    for (const auto& part : parts) {
+      bs.push_back(runtime::column::PartitionBlock::FromRows(schema, part));
+    }
+    ds.store = runtime::PartitionStore::OfBlocks(schema, std::move(bs));
+  } else {
+    ds.store = runtime::PartitionStore::OfRows(parts);
+  }
+  return ds;
+}
+
+/// One random chain in both forms: `structured` uses cell predicates,
+/// pass-through columns and compiled computed columns; `opaque` carries the
+/// same logic as Row closures (MapFn/PredFn/FlatMapFn). Outer-unnest with
+/// an id column and add-index number rows per partition, which no closure
+/// can see, so both forms share those steps.
+struct ParityChain {
+  std::vector<RowTransform> structured;
+  std::vector<RowTransform> opaque;
+  Schema out_schema;
+  std::string description;
+};
+
+std::vector<size_t> ColumnsOfKind(const Schema& schema,
+                                  bool (*pred)(const nrc::TypePtr&)) {
+  std::vector<size_t> out;
+  for (size_t c = 0; c < schema.size(); ++c) {
+    if (pred(schema.col(c).type)) out.push_back(c);
+  }
+  return out;
+}
+
+bool IsScalarType(const nrc::TypePtr& t) { return t->is_scalar(); }
+bool IsBagType(const nrc::TypePtr& t) { return t->is_bag(); }
+bool IsIntType(const nrc::TypePtr& t) {
+  return t->is_scalar() && t->scalar_kind() == nrc::ScalarKind::kInt;
+}
+
+/// A random predicate over the scalar columns of `schema`.
+ExprPtr RandomPredicate(std::mt19937_64& rng, const Schema& schema) {
+  std::vector<size_t> scalars = ColumnsOfKind(schema, IsScalarType);
+  if (scalars.empty()) return nrc::dsl::B(rng() % 2 == 0);
+  auto atom = [&]() -> ExprPtr {
+    const auto& col = schema.col(scalars[rng() % scalars.size()]);
+    ExprPtr v = Expr::Var(col.name);
+    switch (col.type->scalar_kind()) {
+      case nrc::ScalarKind::kInt:
+      case nrc::ScalarKind::kDate:
+        return nrc::dsl::Lt(v, nrc::dsl::I(static_cast<int64_t>(rng() % 10)));
+      case nrc::ScalarKind::kReal:
+        return nrc::dsl::Gt(v, nrc::dsl::R(0.5));
+      case nrc::ScalarKind::kString:
+        return nrc::dsl::Ne(v, nrc::dsl::S("s" + std::to_string(rng() % 7)));
+      case nrc::ScalarKind::kBool:
+        return v;
+    }
+    return v;
+  };
+  ExprPtr e = atom();
+  if (rng() % 3 == 0) e = nrc::dsl::Or(e, atom());
+  if (rng() % 4 == 0) e = Expr::Not(e);
+  return e;
+}
+
+/// A random computed column over `schema`: arithmetic on an int column, a
+/// label over any scalar column, or a constant.
+ExprPtr RandomComputed(std::mt19937_64& rng, const Schema& schema) {
+  std::vector<size_t> ints = ColumnsOfKind(schema, IsIntType);
+  std::vector<size_t> scalars = ColumnsOfKind(schema, IsScalarType);
+  switch (rng() % 3) {
+    case 0:
+      if (!ints.empty()) {
+        return nrc::dsl::Add(Expr::Var(schema.col(ints[rng() % ints.size()]).name),
+                             nrc::dsl::I(1));
+      }
+      break;
+    case 1:
+      if (!scalars.empty()) {
+        return Expr::NewLabel(
+            {{"p", Expr::Var(schema.col(scalars[rng() % scalars.size()]).name)}});
+      }
+      break;
+    default:
+      break;
+  }
+  return nrc::dsl::S("const");
+}
+
+/// Row-closure form of a select's predicate.
+runtime::PredFn OpaquePredicate(const ExprPtr& e, const Schema& schema) {
+  return exec::CompilePredicate(e, schema).ValueOrDie();
+}
+
+/// Row-level bag step shared by the opaque unnest / outer-unnest closures.
+void OpaqueUnnest(const Row& r, int bag_col, bool outer, size_t inner_width,
+                  std::vector<Row>* out) {
+  Row prefix;
+  for (size_t c = 0; c < r.fields.size(); ++c) {
+    if (static_cast<int>(c) != bag_col) prefix.fields.push_back(r.fields[c]);
+  }
+  const Field& bag = r.fields[static_cast<size_t>(bag_col)];
+  const bool has_rows =
+      bag.is_bag() && bag.AsBag() != nullptr && !bag.AsBag()->empty();
+  if (!has_rows) {
+    if (!outer) return;
+    Row padded = prefix;
+    for (size_t k = 0; k < inner_width; ++k) {
+      padded.fields.push_back(Field::Null());
+    }
+    out->push_back(std::move(padded));
+    return;
+  }
+  for (const Row& inner : *bag.AsBag()) {
+    Row e = prefix;
+    for (const Field& f : inner.fields) e.fields.push_back(f);
+    out->push_back(std::move(e));
+  }
+}
+
+ParityChain RandomParityChain(std::mt19937_64& rng) {
+  ParityChain ch;
+  Schema schema = ParitySchema();
+  const size_t len = 1 + rng() % 5;
+  int fresh = 0;
+  for (size_t step = 0; step < len; ++step) {
+    const std::vector<size_t> bags = ColumnsOfKind(schema, IsBagType);
+    size_t kind = rng() % 7;
+    if ((kind == 4 || kind == 5) && bags.empty()) kind = 2;
+    switch (kind) {
+      case 0: {  // select
+        ExprPtr e = RandomPredicate(rng, schema);
+        ch.structured.push_back(RowTransform::Select(
+            "select", exec::CompileCellPredicate(e, schema).ValueOrDie()));
+        ch.opaque.push_back(
+            RowTransform::Filter("select", OpaquePredicate(e, schema)));
+        ch.description += "select ";
+        break;
+      }
+      case 1: {  // outer-select
+        ExprPtr e = RandomPredicate(rng, schema);
+        std::vector<bool> keep(schema.size());
+        for (size_t c = 0; c < keep.size(); ++c) keep[c] = rng() % 2 == 0;
+        runtime::PredFn pred = OpaquePredicate(e, schema);
+        ch.structured.push_back(RowTransform::OuterSelect(
+            "outer_select", exec::CompileCellPredicate(e, schema).ValueOrDie(),
+            keep));
+        ch.opaque.push_back(RowTransform::Map(
+            "outer_select", [pred, keep](const Row& r) {
+              if (pred(r)) return r;
+              Row out = r;
+              for (size_t c = 0; c < out.fields.size(); ++c) {
+                if (c >= keep.size() || !keep[c]) out.fields[c] = Field::Null();
+              }
+              return out;
+            }));
+        ch.description += "outer_select ";
+        break;
+      }
+      case 2:
+      case 3: {  // project / extend
+        const bool extend = kind == 3;
+        std::vector<runtime::ProjectColumn> cols;
+        std::vector<std::pair<int, exec::ScalarFn>> row_cols;
+        Schema out = extend ? schema : Schema();
+        if (!extend) {
+          std::vector<size_t> order(schema.size());
+          for (size_t c = 0; c < order.size(); ++c) order[c] = c;
+          std::shuffle(order.begin(), order.end(), rng);
+          order.resize(1 + rng() % order.size());
+          for (size_t c : order) {
+            runtime::ProjectColumn pc;
+            pc.src = static_cast<int>(c);
+            cols.push_back(pc);
+            row_cols.emplace_back(pc.src, nullptr);
+            out.Append(schema.col(c));
+          }
+        }
+        for (size_t k = 0; k < 1 + rng() % 2; ++k) {
+          ExprPtr e = RandomComputed(rng, schema);
+          runtime::ProjectColumn pc;
+          pc.fn = exec::CompileCellScalar(e, schema).ValueOrDie();
+          cols.push_back(pc);
+          row_cols.emplace_back(-1,
+                                exec::CompileScalar(e, schema).ValueOrDie());
+          out.Append({"c" + std::to_string(fresh++),
+                      exec::ScalarResultType(e, schema).ValueOrDie()});
+        }
+        const char* op = extend ? "extend" : "project";
+        ch.structured.push_back(
+            RowTransform::Project(op, extend, std::move(cols)));
+        ch.opaque.push_back(RowTransform::Map(
+            op, [extend, row_cols](const Row& r) {
+              Row o;
+              if (extend) o.fields = r.fields;
+              for (const auto& [src, fn] : row_cols) {
+                o.fields.push_back(src >= 0 ? r.fields[static_cast<size_t>(src)]
+                                            : fn(r));
+              }
+              return o;
+            }));
+        ch.description += std::string(op) + " ";
+        schema = std::move(out);
+        break;
+      }
+      case 4:
+      case 5: {  // unnest / outer-unnest
+        const bool outer = kind == 5;
+        const int bag = static_cast<int>(bags[rng() % bags.size()]);
+        const bool with_id = outer && rng() % 2 == 0;
+        const std::string id = with_id ? "id" + std::to_string(fresh++) : "";
+        Schema out = runtime::UnnestedSchema(schema, bag, id).ValueOrDie();
+        const size_t inner_width =
+            out.size() - (with_id ? 1 : 0) - (schema.size() - 1);
+        if (!outer) {
+          ch.structured.push_back(RowTransform::Unnest("unnest", bag));
+        } else {
+          ch.structured.push_back(
+              RowTransform::OuterUnnest("unnest", bag, with_id, inner_width));
+        }
+        if (with_id) {
+          ch.opaque.push_back(ch.structured.back());
+        } else {
+          ch.opaque.push_back(RowTransform::FlatMap(
+              "unnest", [bag, outer, inner_width](const Row& r,
+                                                  std::vector<Row>* o) {
+                OpaqueUnnest(r, bag, outer, inner_width, o);
+              }));
+        }
+        ch.description += outer ? (with_id ? "outer_unnest_id " : "outer_unnest ")
+                                : "unnest ";
+        schema = std::move(out);
+        break;
+      }
+      default: {  // add-index
+        ch.structured.push_back(RowTransform::AddIndex("add_index"));
+        ch.opaque.push_back(ch.structured.back());
+        schema.Append({"idx" + std::to_string(fresh++), Type::Int()});
+        ch.description += "add_index ";
+        break;
+      }
+    }
+  }
+  ch.out_schema = std::move(schema);
+  return ch;
+}
+
+struct ParityRun {
+  Dataset out;
+  StageStats stage;
+};
+
+ParityRun RunParityChain(const Dataset& in, const ParityChain& ch,
+                         bool structured, int threads, bool columnar) {
+  runtime::ClusterConfig cfg = Config(threads);
+  cfg.num_partitions = static_cast<int>(kParityPartitions);
+  runtime::Cluster cluster(cfg);
+  cluster.set_columnar_enabled(columnar);
+  auto out = runtime::RunStagePipeline(
+      &cluster, in, ch.out_schema, structured ? ch.structured : ch.opaque,
+      runtime::Partitioning::None(), "parity");
+  TRANCE_CHECK(out.ok(), "parity chain failed");
+  TRANCE_CHECK(cluster.stats().stages().size() == 1, "one stage per chain");
+  return {std::move(out).value(), cluster.stats().stages().back()};
+}
+
+/// Field-accounting bytes of row i of partition p, read from the residence.
+uint64_t StoredRowBytes(const Dataset& ds, size_t p, size_t i) {
+  return ds.store.block_resident() ? ds.store.block(p).RowBytesAt(i)
+                                   : RowDeepSize(ds.store.rows(p)[i]);
+}
+
+/// Rows, per-row bytes, block footprints and every StageStats field; with
+/// `same_residence` off, the residence-dependent columnar_bytes is skipped.
+void ExpectParity(const ParityRun& a, const ParityRun& b, bool same_residence) {
+  ASSERT_EQ(a.out.NumPartitions(), b.out.NumPartitions());
+  for (size_t p = 0; p < a.out.NumPartitions(); ++p) {
+    ASSERT_EQ(a.out.PartitionRowCount(p), b.out.PartitionRowCount(p))
+        << "partition " << p;
+    for (size_t i = 0; i < a.out.PartitionRowCount(p); ++i) {
+      const Row ra = a.out.RowAt(p, i);
+      const Row rb = b.out.RowAt(p, i);
+      EXPECT_TRUE(RowEquals(ra, rb)) << "partition " << p << " row " << i;
+      EXPECT_EQ(RowToString(ra), RowToString(rb));
+      EXPECT_EQ(StoredRowBytes(a.out, p, i), StoredRowBytes(b.out, p, i));
+      EXPECT_EQ(StoredRowBytes(a.out, p, i), RowDeepSize(ra));
+    }
+    if (same_residence && a.out.store.block_resident()) {
+      EXPECT_EQ(a.out.store.block(p).ragged(), b.out.store.block(p).ragged());
+      EXPECT_EQ(a.out.store.block(p).ByteFootprint(),
+                b.out.store.block(p).ByteFootprint())
+          << "partition " << p;
+    }
+  }
+  const StageStats& sa = a.stage;
+  const StageStats& sb = b.stage;
+  EXPECT_EQ(sa.op, sb.op);
+  EXPECT_EQ(sa.rows_in, sb.rows_in);
+  EXPECT_EQ(sa.rows_out, sb.rows_out);
+  EXPECT_EQ(sa.total_work_bytes, sb.total_work_bytes);
+  EXPECT_EQ(sa.max_partition_work_bytes, sb.max_partition_work_bytes);
+  EXPECT_EQ(sa.partition_work_bytes, sb.partition_work_bytes);
+  EXPECT_EQ(sa.mem_high_water_bytes, sb.mem_high_water_bytes);
+  EXPECT_EQ(sa.intermediate_bytes_avoided, sb.intermediate_bytes_avoided);
+  EXPECT_EQ(sa.sim_seconds, sb.sim_seconds);
+  if (same_residence) {
+    EXPECT_EQ(sa.columnar_bytes, sb.columnar_bytes);
+  }
+  ASSERT_EQ(sa.fused_transforms.size(), sb.fused_transforms.size());
+  for (size_t t = 0; t < sa.fused_transforms.size(); ++t) {
+    EXPECT_EQ(sa.fused_transforms[t].op, sb.fused_transforms[t].op);
+    EXPECT_EQ(sa.fused_transforms[t].rows_out,
+              sb.fused_transforms[t].rows_out);
+  }
+}
+
+TEST(CellRunnerParityTest, StructuredChainsMatchRowClosures) {
+  size_t ragged_outputs = 0, nonempty_outputs = 0, multi_step = 0;
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    std::mt19937_64 rng(seed);
+    const std::vector<std::vector<Row>> parts = RandomParityPartitions(rng);
+    const ParityChain ch = RandomParityChain(rng);
+    SCOPED_TRACE("seed " + std::to_string(seed) + ": " + ch.description);
+    if (ch.structured.size() > 1) ++multi_step;
+    std::vector<ParityRun> baseline;
+    for (bool columnar : {true, false}) {
+      SCOPED_TRACE(columnar ? "columnar on" : "columnar off");
+      const Dataset in = ParityInput(ParitySchema(), parts, columnar);
+      ParityRun ref = RunParityChain(in, ch, true, 1, columnar);
+      for (int threads : {1, 4}) {
+        ExpectParity(ref, RunParityChain(in, ch, false, threads, columnar),
+                     true);
+        if (threads > 1) {
+          ExpectParity(ref, RunParityChain(in, ch, true, threads, columnar),
+                       true);
+        }
+      }
+      if (ref.out.NumRows() > 0) ++nonempty_outputs;
+      for (size_t p = 0; columnar && p < kParityPartitions; ++p) {
+        if (ref.out.store.block(p).ragged()) {
+          ++ragged_outputs;
+          break;
+        }
+      }
+      baseline.push_back(std::move(ref));
+    }
+    // Residence changes only columnar_bytes.
+    ExpectParity(baseline[0], baseline[1], false);
+  }
+  // The generator must actually reach the interesting shapes.
+  EXPECT_GT(multi_step, 30u);
+  EXPECT_GT(nonempty_outputs, 60u);
+  EXPECT_GT(ragged_outputs, 3u);
+}
 
 }  // namespace
 }  // namespace trance

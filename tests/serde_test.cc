@@ -11,6 +11,9 @@
 // Block records with every column kind are also read through ReadBatchInto
 // (the block-resident restore), which must leave its destination untouched
 // on failure — including for corruption behind a recomputed checksum.
+// Bags memoize their deep size when built, and ParseField rebuilds them
+// through Field::Bag: the memo must equal a recursive walk before and after
+// a round trip.
 #include "runtime/serde.h"
 
 #include <gtest/gtest.h>
@@ -288,6 +291,105 @@ TEST(SerdeRoundTripTest, RandomRowBatchesManySeeds) {
     ExpectRowsBitEq(rows, back);
     std::remove(path.c_str());
   }
+}
+
+// Reference sizing for the bag-size memo: the recursive walk Field::DeepSize
+// did before bags memoized their deep size at construction.
+uint64_t RefRowBytes(const Row& r);
+
+uint64_t RefFieldBytes(const Field& f) {
+  if (f.is_string()) return 32 + f.AsString().size();
+  if (f.is_label()) {
+    uint64_t s = 16;
+    if (f.AsLabel() != nullptr) {
+      for (const auto& [n, v] : f.AsLabel()->params) s += 8 + RefFieldBytes(v);
+    }
+    return s;
+  }
+  if (f.is_bag()) {
+    uint64_t s = 32;
+    if (f.AsBag() != nullptr) {
+      for (const Row& r : *f.AsBag()) s += RefRowBytes(r);
+    }
+    return s;
+  }
+  return 8;
+}
+
+uint64_t RefRowBytes(const Row& r) {
+  uint64_t s = 8;
+  for (const Field& f : r.fields) s += RefFieldBytes(f);
+  return s;
+}
+
+/// A random nested value: bags up to `depth` levels deep (empty bags and
+/// null BagPtrs included), labels inside bags (some over nested labels),
+/// strings of varying length, NULLs and scalars.
+Field RandomNestedField(std::mt19937_64& rng, int depth) {
+  switch (rng() % (depth > 0 ? 7 : 5)) {
+    case 0: return Field::Null();
+    case 1: return Field::Int(static_cast<int64_t>(rng()));
+    case 2: return Field::Str(std::string(rng() % 40, 'n'));
+    case 3: {
+      if (rng() % 6 == 0) return Field::Label(nullptr);
+      std::vector<std::pair<std::string, Field>> params;
+      params.emplace_back("k", Field::Int(static_cast<int64_t>(rng() % 9)));
+      if (depth > 0 && rng() % 2 == 0) {
+        params.emplace_back("inner", RandomNestedField(rng, depth - 1));
+      }
+      return MakeLabel(std::move(params));
+    }
+    case 4: return Field::Real(0.25 * static_cast<double>(rng() % 17));
+    default: {
+      if (rng() % 8 == 0) return Field::Bag(BagPtr());
+      std::vector<Row> rows;
+      for (size_t n = rng() % 4; n > 0; --n) {
+        Row r;
+        for (size_t w = 1 + rng() % 3; w > 0; --w) {
+          r.fields.push_back(RandomNestedField(rng, depth - 1));
+        }
+        rows.push_back(std::move(r));
+      }
+      return Field::Bag(std::move(rows));
+    }
+  }
+}
+
+TEST(BagDeepSizeMemoTest, MatchesRecursiveWalkAndSurvivesSerde) {
+  size_t deep_bags = 0;
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    std::mt19937_64 rng(seed);
+    Row row;
+    for (size_t c = 0; c < 4; ++c) row.fields.push_back(RandomNestedField(rng, 4));
+    row.fields.push_back(Field::Bag(BagPtr()));
+    row.fields.push_back(Field::Bag(std::vector<Row>{}));
+    for (const Field& f : row.fields) {
+      ASSERT_EQ(f.DeepSize(), RefFieldBytes(f)) << "seed " << seed;
+      if (f.is_bag() && f.DeepSize() > 256) ++deep_bags;
+    }
+    ASSERT_EQ(RowDeepSize(row), RefRowBytes(row)) << "seed " << seed;
+
+    // ParseField rebuilds every bag through Field::Bag: the memo is
+    // recomputed and must agree with the walk and with the original (a null
+    // BagPtr / LabelPtr comes back empty, which sizes the same).
+    std::string payload;
+    for (const Field& f : row.fields) serde::AppendField(f, &payload);
+    size_t pos = 0;
+    Row back;
+    for (size_t c = 0; c < row.fields.size(); ++c) {
+      Field f;
+      ASSERT_TRUE(serde::ParseField(payload.data(), payload.size(), &pos, &f)
+                      .ok());
+      back.fields.push_back(std::move(f));
+    }
+    EXPECT_EQ(pos, payload.size());
+    for (size_t c = 0; c < row.fields.size(); ++c) {
+      EXPECT_EQ(back.fields[c].DeepSize(), RefFieldBytes(back.fields[c]));
+      EXPECT_EQ(back.fields[c].DeepSize(), row.fields[c].DeepSize());
+    }
+    EXPECT_EQ(RowDeepSize(back), RowDeepSize(row));
+  }
+  EXPECT_GT(deep_bags, 20u);
 }
 
 TEST(SerdeRoundTripTest, TypedBlockWithNullsAndVariants) {
