@@ -3,21 +3,17 @@
 // sum aggregation with/without map-side combine, value shredding and
 // unshredding, heavy-key detection, and dedup.
 //
-// The keyed operators (join, nest, dedup) take a second argument toggling
-// ExecOptions::enable_key_codec, the binary-key/legacy-KeyView ablation of
-// PR 5; BM_FlatHashBuild/BM_FlatHashProbe compare the flat open-addressing
-// table against the std::unordered_map fallback directly (PR 7);
-// BM_ColumnScan/BM_ColumnProject compare typed PartitionBlock column loops
-// against the historical row-vector Field dispatch (PR 8); BM_FusedStage
-// times one fused project -> select -> outer-unnest -> extend stage over a
-// block-resident partition with a bag column. main()
-// additionally runs fixed-size rows/sec regression passes over dedup, join
-// build/probe, and nest — codec on/off to BENCH_micro_key_codec.json, flat
-// table on/off to BENCH_micro_flat_hash.json, columnar blocks on/off
-// (plus the raw scan comparison) to BENCH_micro_columnar.json, and the
-// block-resident vs pack-per-stage comparison to
-// BENCH_micro_resident.json — before the
-// google-benchmark suite starts.
+// BM_FlatHashBuild/BM_FlatHashProbe time the flat open-addressing key
+// table directly; BM_ColumnScan/BM_ColumnProject compare typed
+// PartitionBlock column loops against a row-vector Field-dispatch loop over
+// the same values; BM_FusedStage times one fused project -> select ->
+// outer-unnest -> extend stage over a block-resident partition with a bag
+// column. main() additionally runs fixed-size rows/sec regression passes
+// over dedup, join build/probe, and nest — to BENCH_micro_key_codec.json,
+// BENCH_micro_columnar.json (plus the raw scan comparison), the
+// block-resident keyed chain and the repack boundary tax to
+// BENCH_micro_resident.json, and forced spilling to BENCH_micro_spill.json —
+// before the google-benchmark suite starts.
 #include <benchmark/benchmark.h>
 
 #include <unistd.h>
@@ -70,7 +66,6 @@ Dataset MakeKv(Cluster* cluster, int64_t n, int64_t keys, double zipf,
 void BM_HashJoin(benchmark::State& state) {
   ClusterConfig cfg{.num_partitions = 8};
   Cluster cluster(cfg);
-  cluster.set_key_codec_enabled(state.range(1) != 0);
   Dataset l = MakeKv(&cluster, state.range(0), 1000, 0.0, 1);
   Dataset r = MakeKv(&cluster, 1000, 1000, 0.0, 2);
   for (auto _ : state) {
@@ -81,11 +76,7 @@ void BM_HashJoin(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_HashJoin)
-    ->Args({10000, 1})
-    ->Args({10000, 0})
-    ->Args({100000, 1})
-    ->Args({100000, 0});
+BENCHMARK(BM_HashJoin)->Arg(10000)->Arg(100000);
 
 void BM_BroadcastJoin(benchmark::State& state) {
   ClusterConfig cfg{.num_partitions = 8};
@@ -138,7 +129,6 @@ BENCHMARK(BM_SumAggregate)->Args({100000, 1})->Args({100000, 0});
 void BM_NestGroup(benchmark::State& state) {
   ClusterConfig cfg{.num_partitions = 8};
   Cluster cluster(cfg);
-  cluster.set_key_codec_enabled(state.range(1) != 0);
   Dataset ds = MakeKv(&cluster, state.range(0), 1024, 0.0, 4);
   for (auto _ : state) {
     auto out = runtime::NestGroup(&cluster, ds, {0}, {1}, "bag", "nest");
@@ -147,7 +137,7 @@ void BM_NestGroup(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_NestGroup)->Args({100000, 1})->Args({100000, 0});
+BENCHMARK(BM_NestGroup)->Arg(100000);
 
 Dataset MakeDup(Cluster* cluster, int64_t n, int64_t distinct, uint64_t seed) {
   Rng rng(seed);
@@ -165,7 +155,6 @@ Dataset MakeDup(Cluster* cluster, int64_t n, int64_t distinct, uint64_t seed) {
 void BM_Distinct(benchmark::State& state) {
   ClusterConfig cfg{.num_partitions = 8};
   Cluster cluster(cfg);
-  cluster.set_key_codec_enabled(state.range(1) != 0);
   // ~16 duplicates per distinct row: the membership-test path dominates
   // (the path that historically deep-copied the whole row per test).
   Dataset ds = MakeDup(&cluster, state.range(0), state.range(0) / 16, 6);
@@ -176,7 +165,7 @@ void BM_Distinct(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_Distinct)->Args({100000, 1})->Args({100000, 0});
+BENCHMARK(BM_Distinct)->Arg(100000);
 
 void BM_HeavyKeyDetection(benchmark::State& state) {
   ClusterConfig cfg{.num_partitions = 8};
@@ -241,43 +230,27 @@ std::vector<key_codec::EncodedKey> MakeEncodedKeys(int64_t n) {
   return keys;
 }
 
-/// Direct container ablation: insert n distinct pre-encoded keys into the
-/// flat table (arg 1 = 1) or the std::unordered_map fallback (arg 1 = 0),
-/// growth included (tables start empty, as nest/aggregate builds do).
-template <class Index>
-void FlatHashBuildLoop(benchmark::State& state,
-                       const std::vector<key_codec::EncodedKey>& keys) {
+/// Flat-table build: insert n distinct pre-encoded keys, growth included
+/// (tables start empty, as nest/aggregate builds do).
+void BM_FlatHashBuild(benchmark::State& state) {
+  std::vector<key_codec::EncodedKey> keys = MakeEncodedKeys(state.range(0));
   for (auto _ : state) {
-    Index idx;
+    flat_hash::FlatKeyIndex idx;
     for (const auto& k : keys) {
       benchmark::DoNotOptimize(
           idx.FindOrInsert(key_codec::EncodedKeyView{k.hash, k.bytes}));
     }
     benchmark::DoNotOptimize(idx.size());
   }
-}
-
-void BM_FlatHashBuild(benchmark::State& state) {
-  std::vector<key_codec::EncodedKey> keys = MakeEncodedKeys(state.range(0));
-  if (state.range(1) != 0) {
-    FlatHashBuildLoop<flat_hash::FlatKeyIndex>(state, keys);
-  } else {
-    FlatHashBuildLoop<flat_hash::StdKeyIndex>(state, keys);
-  }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_FlatHashBuild)
-    ->Args({1000, 1})
-    ->Args({1000, 0})
-    ->Args({100000, 1})
-    ->Args({100000, 0});
+BENCHMARK(BM_FlatHashBuild)->Arg(1000)->Arg(100000);
 
-/// Probe side of the same ablation: every lookup hits a key built once
-/// outside the timed loop (the join-probe access pattern).
-template <class Index>
-void FlatHashProbeLoop(benchmark::State& state,
-                       const std::vector<key_codec::EncodedKey>& keys) {
-  Index idx(keys.size());
+/// Flat-table probe: every lookup hits a key built once outside the timed
+/// loop (the join-probe access pattern).
+void BM_FlatHashProbe(benchmark::State& state) {
+  std::vector<key_codec::EncodedKey> keys = MakeEncodedKeys(state.range(0));
+  flat_hash::FlatKeyIndex idx(keys.size());
   for (const auto& k : keys) {
     idx.FindOrInsert(key_codec::EncodedKeyView{k.hash, k.bytes});
   }
@@ -285,26 +258,13 @@ void FlatHashProbeLoop(benchmark::State& state,
     uint64_t found = 0;
     for (const auto& k : keys) {
       found += idx.Find(key_codec::EncodedKeyView{k.hash, k.bytes}) !=
-               Index::kNotFound;
+               flat_hash::FlatKeyIndex::kNotFound;
     }
     benchmark::DoNotOptimize(found);
   }
-}
-
-void BM_FlatHashProbe(benchmark::State& state) {
-  std::vector<key_codec::EncodedKey> keys = MakeEncodedKeys(state.range(0));
-  if (state.range(1) != 0) {
-    FlatHashProbeLoop<flat_hash::FlatKeyIndex>(state, keys);
-  } else {
-    FlatHashProbeLoop<flat_hash::StdKeyIndex>(state, keys);
-  }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_FlatHashProbe)
-    ->Args({1000, 1})
-    ->Args({1000, 0})
-    ->Args({100000, 1})
-    ->Args({100000, 0});
+BENCHMARK(BM_FlatHashProbe)->Arg(1000)->Arg(100000);
 
 namespace column = runtime::column;
 
@@ -607,194 +567,81 @@ BENCHMARK(BM_ValueUnshred)->Arg(100);
 
 }  // namespace
 
-// Fixed-size regression pass over the keyed operators — dedup, join
-// build/probe, nest — with the key codec on and off. Each run lands in
-// BENCH_micro_key_codec.json with its wall time, row counts, and the keyed
-// hash-table counters (key_encode_bytes is 0 on the codec_off runs), so the
-// ablation and the Distinct full-row-copy regression are machine-checkable.
+// The fixed-size keyed workloads every ablation report times — dedup, join
+// build/probe, nest over 200k rows — on `cluster`, appended to `results` as
+// distinct<suffix>, hash_join<suffix> and nest<suffix>.
+void RunKeyedWorkloads(Cluster* cluster, const std::string& suffix,
+                       std::vector<bench::RunResult>* results) {
+  const int64_t n = 200000;
+  Dataset dup = MakeDup(cluster, n, n / 16, 6);
+  size_t rows = 0;
+  bench::RunResult r = bench::TimedRun(
+      "distinct" + suffix, cluster, [&]() -> Status {
+        TRANCE_ASSIGN_OR_RETURN(Dataset out,
+                                runtime::Distinct(cluster, dup, "dedup"));
+        rows = out.NumRows();
+        return Status::OK();
+      });
+  r.out_rows = rows;
+  results->push_back(std::move(r));
+
+  Dataset l = MakeKv(cluster, n, 1000, 0.0, 1);
+  Dataset d = MakeKv(cluster, 1000, 1000, 0.0, 2);
+  r = bench::TimedRun("hash_join" + suffix, cluster, [&]() -> Status {
+    TRANCE_ASSIGN_OR_RETURN(
+        Dataset out, runtime::HashJoin(cluster, l, d, {0}, {0},
+                                       runtime::JoinType::kInner, "join"));
+    rows = out.NumRows();
+    return Status::OK();
+  });
+  r.out_rows = rows;
+  results->push_back(std::move(r));
+
+  Dataset kv = MakeKv(cluster, n, 1024, 0.0, 4);
+  r = bench::TimedRun("nest" + suffix, cluster, [&]() -> Status {
+    TRANCE_ASSIGN_OR_RETURN(
+        Dataset out, runtime::NestGroup(cluster, kv, {0}, {1}, "bag", "nest"));
+    rows = out.NumRows();
+    return Status::OK();
+  });
+  r.out_rows = rows;
+  results->push_back(std::move(r));
+}
+
+// Fixed-size regression pass over the keyed operators on the binary key
+// codec. Each run lands in BENCH_micro_key_codec.json with its wall time,
+// row counts, and the keyed hash-table counters, so the Distinct full-row
+// membership path is machine-checkable.
 Status RunKeyCodecAblation() {
   std::vector<bench::RunResult> results;
-  const int64_t n = 200000;
-  for (bool codec : {true, false}) {
-    ClusterConfig cfg{.num_partitions = 8};
-    Cluster cluster(cfg);
-    cluster.set_key_codec_enabled(codec);
-    const std::string suffix = codec ? ".codec_on" : ".codec_off";
-
-    Dataset dup = MakeDup(&cluster, n, n / 16, 6);
-    size_t rows = 0;
-    bench::RunResult r = bench::TimedRun(
-        "distinct" + suffix, &cluster, [&]() -> Status {
-          TRANCE_ASSIGN_OR_RETURN(Dataset out,
-                                  runtime::Distinct(&cluster, dup, "dedup"));
-          rows = out.NumRows();
-          return Status::OK();
-        });
-    r.out_rows = rows;
-    results.push_back(std::move(r));
-
-    Dataset l = MakeKv(&cluster, n, 1000, 0.0, 1);
-    Dataset d = MakeKv(&cluster, 1000, 1000, 0.0, 2);
-    r = bench::TimedRun("hash_join" + suffix, &cluster, [&]() -> Status {
-      TRANCE_ASSIGN_OR_RETURN(
-          Dataset out, runtime::HashJoin(&cluster, l, d, {0}, {0},
-                                         runtime::JoinType::kInner, "join"));
-      rows = out.NumRows();
-      return Status::OK();
-    });
-    r.out_rows = rows;
-    results.push_back(std::move(r));
-
-    Dataset kv = MakeKv(&cluster, n, 1024, 0.0, 4);
-    r = bench::TimedRun("nest" + suffix, &cluster, [&]() -> Status {
-      TRANCE_ASSIGN_OR_RETURN(
-          Dataset out,
-          runtime::NestGroup(&cluster, kv, {0}, {1}, "bag", "nest"));
-      rows = out.NumRows();
-      return Status::OK();
-    });
-    r.out_rows = rows;
-    results.push_back(std::move(r));
-  }
-  bench::PrintHeader("key codec ablation (rows/s = rows / wall)");
+  ClusterConfig cfg{.num_partitions = 8};
+  Cluster cluster(cfg);
+  RunKeyedWorkloads(&cluster, ".codec_on", &results);
+  bench::PrintHeader("key codec pass (rows/s = rows / wall)");
   for (const auto& r : results) bench::PrintResult(r);
   return bench::WriteBenchReport("micro_key_codec", results);
 }
 
-// Fixed-size regression pass over the same keyed workloads with the codec
-// on and ExecOptions::enable_flat_hash toggled — the flat-vs-unordered_map
-// container ablation. Results land in BENCH_micro_flat_hash.json; the
-// flat_off runs report hash_table_bytes/hash_resizes/hash_probe_len_max as
-// exactly 0 while every codec-invariant counter matches the flat_on runs.
-Status RunFlatHashAblation() {
-  std::vector<bench::RunResult> results;
-  const int64_t n = 200000;
-  for (bool flat : {true, false}) {
-    ClusterConfig cfg{.num_partitions = 8};
-    Cluster cluster(cfg);
-    cluster.set_key_codec_enabled(true);
-    cluster.set_flat_hash_enabled(flat);
-    const std::string suffix = flat ? ".flat_on" : ".flat_off";
-
-    Dataset dup = MakeDup(&cluster, n, n / 16, 6);
-    size_t rows = 0;
-    bench::RunResult r = bench::TimedRun(
-        "distinct" + suffix, &cluster, [&]() -> Status {
-          TRANCE_ASSIGN_OR_RETURN(Dataset out,
-                                  runtime::Distinct(&cluster, dup, "dedup"));
-          rows = out.NumRows();
-          return Status::OK();
-        });
-    r.out_rows = rows;
-    results.push_back(std::move(r));
-
-    Dataset l = MakeKv(&cluster, n, 1000, 0.0, 1);
-    Dataset d = MakeKv(&cluster, 1000, 1000, 0.0, 2);
-    r = bench::TimedRun("hash_join" + suffix, &cluster, [&]() -> Status {
-      TRANCE_ASSIGN_OR_RETURN(
-          Dataset out, runtime::HashJoin(&cluster, l, d, {0}, {0},
-                                         runtime::JoinType::kInner, "join"));
-      rows = out.NumRows();
-      return Status::OK();
-    });
-    r.out_rows = rows;
-    results.push_back(std::move(r));
-
-    Dataset kv = MakeKv(&cluster, n, 1024, 0.0, 4);
-    r = bench::TimedRun("nest" + suffix, &cluster, [&]() -> Status {
-      TRANCE_ASSIGN_OR_RETURN(
-          Dataset out,
-          runtime::NestGroup(&cluster, kv, {0}, {1}, "bag", "nest"));
-      rows = out.NumRows();
-      return Status::OK();
-    });
-    r.out_rows = rows;
-    results.push_back(std::move(r));
-  }
-  bench::PrintHeader("flat hash ablation (rows/s = rows / wall)");
-  for (const auto& r : results) bench::PrintResult(r);
-  return bench::WriteBenchReport("micro_flat_hash", results);
-}
-
-// Fixed-size regression pass over the same keyed workloads with
-// ExecOptions::enable_columnar toggled — the typed partition-block ablation
-// of PR 8. The columnar_off runs report columnar_bytes /
-// column_to_row_conversions as exactly 0 while every pre-existing counter
-// (rows out, shuffle bytes, simulated time, keyed hash counters) matches the
-// columnar_on runs bit-for-bit; both properties are asserted in-binary
-// below. Two additional runs time a raw 64k-row int/real scan on the block
-// representation vs the historical row loop, so the PR's >= 2x scan target
-// is recorded in BENCH_micro_columnar.json (recorded, not hard-asserted —
-// absolute ratios are machine-dependent).
+// Fixed-size regression pass over the same keyed workloads on typed
+// partition blocks: every run must build blocks (columnar_bytes > 0) and
+// convert no block rows back into retained rows — both asserted in-binary.
+// Two additional runs time a raw 64k-row int/real scan on the block
+// representation vs a row loop over the same values, recorded in
+// BENCH_micro_columnar.json (recorded, not hard-asserted — absolute ratios
+// are machine-dependent).
 Status RunColumnarAblation() {
   std::vector<bench::RunResult> results;
-  const int64_t n = 200000;
-  for (bool columnar : {true, false}) {
+  {
     ClusterConfig cfg{.num_partitions = 8};
     Cluster cluster(cfg);
-    cluster.set_key_codec_enabled(true);
-    cluster.set_columnar_enabled(columnar);
-    const std::string suffix = columnar ? ".columnar_on" : ".columnar_off";
-
-    Dataset dup = MakeDup(&cluster, n, n / 16, 6);
-    size_t rows = 0;
-    bench::RunResult r = bench::TimedRun(
-        "distinct" + suffix, &cluster, [&]() -> Status {
-          TRANCE_ASSIGN_OR_RETURN(Dataset out,
-                                  runtime::Distinct(&cluster, dup, "dedup"));
-          rows = out.NumRows();
-          return Status::OK();
-        });
-    r.out_rows = rows;
-    results.push_back(std::move(r));
-
-    Dataset l = MakeKv(&cluster, n, 1000, 0.0, 1);
-    Dataset d = MakeKv(&cluster, 1000, 1000, 0.0, 2);
-    r = bench::TimedRun("hash_join" + suffix, &cluster, [&]() -> Status {
-      TRANCE_ASSIGN_OR_RETURN(
-          Dataset out, runtime::HashJoin(&cluster, l, d, {0}, {0},
-                                         runtime::JoinType::kInner, "join"));
-      rows = out.NumRows();
-      return Status::OK();
-    });
-    r.out_rows = rows;
-    results.push_back(std::move(r));
-
-    Dataset kv = MakeKv(&cluster, n, 1024, 0.0, 4);
-    r = bench::TimedRun("nest" + suffix, &cluster, [&]() -> Status {
-      TRANCE_ASSIGN_OR_RETURN(
-          Dataset out,
-          runtime::NestGroup(&cluster, kv, {0}, {1}, "bag", "nest"));
-      rows = out.NumRows();
-      return Status::OK();
-    });
-    r.out_rows = rows;
-    results.push_back(std::move(r));
+    RunKeyedWorkloads(&cluster, ".columnar_on", &results);
   }
-
-  // Stats transparency: run i (columnar on) against run i + 3 (off).
-  for (size_t i = 0; i < 3; ++i) {
-    const bench::RunResult& on = results[i];
-    const bench::RunResult& off = results[i + 3];
-    TRANCE_CHECK(on.ok && off.ok, "columnar ablation run failed");
-    TRANCE_CHECK(on.out_rows == off.out_rows,
-                 "columnar ablation: result rows differ for " + on.name);
-    TRANCE_CHECK(on.shuffle_bytes == off.shuffle_bytes &&
-                     on.max_stage_shuffle == off.max_stage_shuffle &&
-                     on.peak_partition == off.peak_partition,
-                 "columnar ablation: movement stats differ for " + on.name);
-    TRANCE_CHECK(on.sim_s == off.sim_s,
-                 "columnar ablation: sim time differs for " + on.name);
-    TRANCE_CHECK(on.key_encode_bytes == off.key_encode_bytes &&
-                     on.hash_build_rows == off.hash_build_rows &&
-                     on.hash_probe_hits == off.hash_probe_hits &&
-                     on.hash_max_chain == off.hash_max_chain,
-                 "columnar ablation: keyed counters differ for " + on.name);
-    TRANCE_CHECK(on.columnar_bytes > 0,
-                 "columnar ablation: no blocks built in " + on.name);
-    TRANCE_CHECK(off.columnar_bytes == 0 &&
-                     off.column_to_row_conversions == 0,
-                 "columnar ablation: counters leak into " + off.name);
+  for (const bench::RunResult& r : results) {
+    TRANCE_CHECK(r.ok, "columnar pass run failed: " + r.name);
+    TRANCE_CHECK(r.columnar_bytes > 0, "columnar pass: no blocks built in " +
+                                           r.name);
+    TRANCE_CHECK(r.column_to_row_conversions == 0,
+                 "columnar pass: block rows converted in " + r.name);
   }
 
   // Raw scan comparison (the BM_ColumnScan shape, as recorded runs).
@@ -841,38 +688,32 @@ Status RunColumnarAblation() {
     benchmark::DoNotOptimize(sink);
   }
 
-  bench::PrintHeader("columnar ablation (rows/s = rows / wall)");
+  bench::PrintHeader("columnar pass (rows/s = rows / wall)");
   for (const auto& r : results) bench::PrintResult(r);
   return bench::WriteBenchReport("micro_columnar", results);
 }
 
-// Resident-vs-pack ablation of PR 10: partitions now LIVE as typed blocks,
-// so a keyed chain (distinct -> nest) crosses its stage boundary without any
-// per-stage pack/unpack. The chain.resident run (columnar on) must report
-// column_to_row_conversions == 0 — asserted in-binary, the PR's acceptance
-// property — while chain.rows (columnar off) provides the historical
-// row-path comparison with bit-identical pre-existing stats. Two recorded
-// micro runs then quantify the boundary tax itself on a fixed 64k-row
-// partition crossing three simulated stage boundaries: repack.per_stage
-// re-packs (FromRows) and re-materializes (ToRows) at every boundary — the
-// PR-8/9 costume — while repack.resident crosses the same boundaries with
-// block-to-block AppendRowFrom copies, never touching rows (recorded, not
-// hard-asserted — absolute ratios are machine-dependent). Results land in
+// Block-residence pass: partitions live as typed blocks, so a keyed chain
+// (distinct -> nest) crosses its stage boundary without any per-stage
+// pack/unpack — the chain.resident run must report
+// column_to_row_conversions == 0, asserted in-binary. Two recorded micro
+// runs then quantify the boundary tax itself on a fixed 64k-row partition
+// crossing three simulated stage boundaries: repack.per_stage re-packs
+// (FromRows) and re-materializes (ToRows) at every boundary, while
+// repack.resident crosses the same boundaries with block-to-block
+// AppendRowFrom copies, never touching rows (recorded, not hard-asserted —
+// absolute ratios are machine-dependent). Results land in
 // BENCH_micro_resident.json.
 Status RunResidentAblation() {
   std::vector<bench::RunResult> results;
   const int64_t n = 200000;
-  for (bool columnar : {true, false}) {
+  {
     ClusterConfig cfg{.num_partitions = 8};
     Cluster cluster(cfg);
-    cluster.set_key_codec_enabled(true);
-    cluster.set_columnar_enabled(columnar);
-    const std::string suffix = columnar ? ".resident" : ".rows";
-
     Dataset dup = MakeDup(&cluster, n, n / 16, 9);
     size_t rows = 0;
     bench::RunResult r =
-        bench::TimedRun("chain" + suffix, &cluster, [&]() -> Status {
+        bench::TimedRun("chain.resident", &cluster, [&]() -> Status {
           TRANCE_ASSIGN_OR_RETURN(Dataset deduped,
                                   runtime::Distinct(&cluster, dup, "dedup"));
           TRANCE_ASSIGN_OR_RETURN(
@@ -882,25 +723,11 @@ Status RunResidentAblation() {
           return Status::OK();
         });
     r.out_rows = rows;
+    TRANCE_CHECK(r.ok, "resident pass run failed");
+    TRANCE_CHECK(r.columnar_bytes > 0, "resident pass: no blocks built");
+    TRANCE_CHECK(r.column_to_row_conversions == 0,
+                 "resident pass: block-resident chain converted rows");
     results.push_back(std::move(r));
-  }
-  {
-    const bench::RunResult& resident = results[0];
-    const bench::RunResult& row_path = results[1];
-    TRANCE_CHECK(resident.ok && row_path.ok, "resident ablation run failed");
-    TRANCE_CHECK(resident.out_rows == row_path.out_rows,
-                 "resident ablation: result rows differ");
-    TRANCE_CHECK(resident.sim_s == row_path.sim_s &&
-                     resident.shuffle_bytes == row_path.shuffle_bytes &&
-                     resident.hash_build_rows == row_path.hash_build_rows,
-                 "resident ablation: pre-existing stats differ");
-    TRANCE_CHECK(resident.columnar_bytes > 0,
-                 "resident ablation: no blocks built");
-    TRANCE_CHECK(resident.column_to_row_conversions == 0,
-                 "resident ablation: block-resident chain converted rows");
-    TRANCE_CHECK(row_path.columnar_bytes == 0 &&
-                     row_path.column_to_row_conversions == 0,
-                 "resident ablation: counters leak into the row path");
   }
 
   // Boundary-tax comparison (recorded runs, column_scan idiom).
@@ -946,7 +773,7 @@ Status RunResidentAblation() {
     benchmark::DoNotOptimize(sink);
   }
 
-  bench::PrintHeader("resident ablation (rows/s = rows / wall)");
+  bench::PrintHeader("resident pass (rows/s = rows / wall)");
   for (const auto& r : results) bench::PrintResult(r);
   return bench::WriteBenchReport("micro_resident", results);
 }
@@ -962,49 +789,13 @@ Status RunResidentAblation() {
 // off runs report exactly 0. Results land in BENCH_micro_spill.json.
 Status RunSpillAblation() {
   std::vector<bench::RunResult> results;
-  const int64_t n = 200000;
   for (bool forced : {true, false}) {
     ClusterConfig cfg{.num_partitions = 8};
     if (forced) cfg.partition_memory_cap = 256ull << 10;
     Cluster cluster(cfg);
-    cluster.set_key_codec_enabled(true);
     cluster.set_spill_enabled(forced);
-    const std::string suffix = forced ? ".spill_forced" : ".spill_off";
-
-    Dataset dup = MakeDup(&cluster, n, n / 16, 6);
-    size_t rows = 0;
-    bench::RunResult r = bench::TimedRun(
-        "distinct" + suffix, &cluster, [&]() -> Status {
-          TRANCE_ASSIGN_OR_RETURN(Dataset out,
-                                  runtime::Distinct(&cluster, dup, "dedup"));
-          rows = out.NumRows();
-          return Status::OK();
-        });
-    r.out_rows = rows;
-    results.push_back(std::move(r));
-
-    Dataset l = MakeKv(&cluster, n, 1000, 0.0, 1);
-    Dataset d = MakeKv(&cluster, 1000, 1000, 0.0, 2);
-    r = bench::TimedRun("hash_join" + suffix, &cluster, [&]() -> Status {
-      TRANCE_ASSIGN_OR_RETURN(
-          Dataset out, runtime::HashJoin(&cluster, l, d, {0}, {0},
-                                         runtime::JoinType::kInner, "join"));
-      rows = out.NumRows();
-      return Status::OK();
-    });
-    r.out_rows = rows;
-    results.push_back(std::move(r));
-
-    Dataset kv = MakeKv(&cluster, n, 1024, 0.0, 4);
-    r = bench::TimedRun("nest" + suffix, &cluster, [&]() -> Status {
-      TRANCE_ASSIGN_OR_RETURN(
-          Dataset out,
-          runtime::NestGroup(&cluster, kv, {0}, {1}, "bag", "nest"));
-      rows = out.NumRows();
-      return Status::OK();
-    });
-    r.out_rows = rows;
-    results.push_back(std::move(r));
+    RunKeyedWorkloads(&cluster, forced ? ".spill_forced" : ".spill_off",
+                      &results);
   }
 
   // Stats transparency: run i (spill forced under a tiny cap) against run
@@ -1045,7 +836,6 @@ Status RunSpillAblation() {
 int main(int argc, char** argv) {
   TRANCE_CHECK(trance::RunKeyCodecAblation().ok(), "key codec ablation");
   TRANCE_CHECK(trance::RunResidentAblation().ok(), "resident ablation");
-  TRANCE_CHECK(trance::RunFlatHashAblation().ok(), "flat hash ablation");
   TRANCE_CHECK(trance::RunColumnarAblation().ok(), "columnar ablation");
   TRANCE_CHECK(trance::RunSpillAblation().ok(), "spill ablation");
   benchmark::Initialize(&argc, argv);

@@ -173,43 +173,14 @@ class Cluster {
                             static_cast<uint64_t>(config_.num_partitions));
   }
   /// Target partition of an encoded key. The codec's hash is exactly
-  /// RowHashOn, so this places a key on the same partition whether the
-  /// caller routed via the codec or via the legacy hash — placement is
-  /// bit-identical with the codec on or off.
+  /// RowHashOn, so this places a key on the partition the shuffle routes
+  /// its rows to.
   int PartitionOf(const key_codec::EncodedKey& k) const {
     return PartitionOf(k.hash);
   }
   int PartitionOf(const key_codec::EncodedKeyView& k) const {
     return PartitionOf(k.hash);
   }
-
-  /// Whether keyed operators run on the compact binary key codec (default)
-  /// or the historical KeyView containers. Set by the executor from
-  /// ExecOptions::enable_key_codec; results and all pre-existing stats are
-  /// bit-identical either way (tests/key_codec_test.cc).
-  bool key_codec_enabled() const { return key_codec_enabled_; }
-  void set_key_codec_enabled(bool on) { key_codec_enabled_ = on; }
-
-  /// Whether the encoded-key operators use the open-addressing flat table
-  /// of runtime/flat_hash.h (default) or the node-based
-  /// std::unordered_map fallback. Only observable when the key codec is
-  /// enabled (the legacy KeyView path has no encoded keys to index). Set by
-  /// the executor from ExecOptions::enable_flat_hash; results and all
-  /// pre-existing stats are bit-identical either way
-  /// (tests/flat_hash_test.cc) — only the flat-only counters
-  /// (hash_table_bytes / hash_resizes / hash_probe_len_max) differ (0 when
-  /// off).
-  bool flat_hash_enabled() const { return flat_hash_enabled_; }
-  void set_flat_hash_enabled(bool on) { flat_hash_enabled_ = on; }
-
-  /// Whether operators run partitions through typed columnar blocks
-  /// (runtime/column.h, default) or the historical std::vector<Row> path.
-  /// Set by the executor from ExecOptions::enable_columnar; results,
-  /// placement, shuffle bytes, and every pre-existing stat are bit-identical
-  /// either way (tests/columnar_test.cc) — only the columnar-only counters
-  /// (columnar_bytes / column_to_row_conversions) differ (0 when off).
-  bool columnar_enabled() const { return columnar_enabled_; }
-  void set_columnar_enabled(bool on) { columnar_enabled_ = on; }
 
   /// Whether partitions over the memory threshold spill to disk runs
   /// (runtime/spill.h, default) instead of hard-failing with
@@ -257,9 +228,6 @@ class Cluster {
 
   ClusterConfig config_;
   int num_threads_;
-  bool key_codec_enabled_ = true;
-  bool flat_hash_enabled_ = true;
-  bool columnar_enabled_ = true;
   bool spill_enabled_ = true;
   FaultInjector injector_;
   /// Lazily created by spill_manager() under mu_.

@@ -6,10 +6,11 @@
 // offsets, and label/bag-typed (or type-unstable) cells in a variant fallback
 // column. Every column carries a null bitmap. Blocks are lossless: RowAt /
 // ToRows reproduce the exact Field values that went in, so Field::Hash,
-// Field::DeepSize, RowHashOn, and the key codec observe bit-identical values
-// on both representations — the invariant that keeps results, placement,
-// shuffle bytes, and every pre-existing JobStats field unchanged whether
-// ExecOptions::enable_columnar is on or off.
+// Field::DeepSize, RowHashOn, and the key codec observe exactly the values
+// the row-level definitions would — the invariant that keeps results,
+// placement, shuffle bytes, and every Field-accounting stat independent of
+// the storage layout. Blocks are the runtime's only partition
+// representation (runtime/dataset.h).
 //
 // Layout follows the ClickHouse ColumnVector<T> idiom (flat typed arrays, no
 // per-value dispatch on scan) and Thrill's cache-friendly flat item storage.

@@ -237,16 +237,5 @@ std::string RowToString(const Row& r) {
   return "(" + Join(parts, ", ") + ")";
 }
 
-KeyView ExtractKey(const Row& r, const std::vector<int>& cols) {
-  KeyView k;
-  k.fields.reserve(cols.size());
-  for (int c : cols) {
-    TRANCE_CHECK(c >= 0 && static_cast<size_t>(c) < r.fields.size(),
-                 "ExtractKey: bad column");
-    k.fields.push_back(r.fields[static_cast<size_t>(c)]);
-  }
-  return k;
-}
-
 }  // namespace runtime
 }  // namespace trance

@@ -20,23 +20,18 @@
 //     (there is no erase), which keeps probe chains contiguous forever.
 //
 // The table maps keys to dense uint32_t indices in first-insertion order —
-// exactly the group-index idiom the operators already use — so one index
-// type serves every consumer (join chains, cogroup bags, nest groups,
+// exactly the group-index idiom the operators use — so this one index type
+// serves every keyed consumer (join chains, cogroup bags, nest groups,
 // reduce accumulators, dedup counts, the skew layer's heavy-key set) with
 // values living in caller-side vectors. Because callers never iterate the
-// table itself, internal ordering is unobservable and results stay
-// bit-identical to the map-based path.
-//
-// StdKeyIndex is the same interface over std::unordered_map<EncodedKey, …> —
-// the ExecOptions::enable_flat_hash escape hatch — so each operator's
-// encoded path is written once and instantiated with either container.
+// table itself, internal ordering is unobservable: results depend only on
+// key identity and first-insertion order.
 #ifndef TRANCE_RUNTIME_FLAT_HASH_H_
 #define TRANCE_RUNTIME_FLAT_HASH_H_
 
 #include <cstdint>
 #include <cstring>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -189,55 +184,10 @@ class FlatKeyIndex {
   mutable uint64_t max_probe_ = 0;
 };
 
-/// The enable_flat_hash=false fallback: identical interface and dense-index
-/// semantics over the node-based map the encoded paths used before the flat
-/// table. Flat-only telemetry reads as zero so the escape hatch reproduces
-/// the historical stats exactly.
-class StdKeyIndex {
- public:
-  static constexpr uint32_t kNotFound = 0xFFFFFFFFu;
-
-  StdKeyIndex() = default;
-  explicit StdKeyIndex(size_t expected) { map_.reserve(expected); }
-
-  std::pair<uint32_t, bool> FindOrInsert(const key_codec::EncodedKeyView& k) {
-    auto it = map_.find(k);
-    if (it != map_.end()) return {it->second, false};
-    uint32_t idx = static_cast<uint32_t>(map_.size());
-    auto [pos, inserted] = map_.emplace(key_codec::Materialize(k), idx);
-    dense_.push_back(&pos->first);
-    return {idx, inserted};
-  }
-
-  uint32_t Find(const key_codec::EncodedKeyView& k) const {
-    auto it = map_.find(k);
-    return it == map_.end() ? kNotFound : it->second;
-  }
-
-  key_codec::EncodedKeyView KeyAt(uint32_t index) const {
-    const key_codec::EncodedKey* k = dense_[index];
-    return key_codec::EncodedKeyView{k->hash, k->bytes};
-  }
-
-  size_t size() const { return map_.size(); }
-  uint64_t table_bytes() const { return 0; }
-  uint64_t resizes() const { return 0; }
-  uint64_t max_probe_len() const { return 0; }
-
- private:
-  std::unordered_map<key_codec::EncodedKey, uint32_t, key_codec::EncodedKeyHash,
-                     key_codec::EncodedKeyEq>
-      map_;
-  /// Dense-order key pointers (node-based map: stable across rehash).
-  std::vector<const key_codec::EncodedKey*> dense_;
-};
-
 /// Folds one finished table's telemetry into a task's KeyStats slot (summed
 /// per partition in slot order after the stage barrier, like every keyed
-/// counter). StdKeyIndex contributes zeros, so the three flat-only counters
-/// are exactly 0 when enable_flat_hash is off.
-template <class Index>
-inline void NoteTableStats(const Index& idx, key_codec::KeyStats* ks) {
+/// counter).
+inline void NoteTableStats(const FlatKeyIndex& idx, key_codec::KeyStats* ks) {
   ks->table_bytes += idx.table_bytes();
   ks->resizes += idx.resizes();
   if (idx.max_probe_len() > ks->probe_len_max) {

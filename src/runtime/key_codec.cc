@@ -10,8 +10,8 @@ namespace {
 
 // One tag byte per field. Tags also separate the int/real/bool/string type
 // lattice: Field::operator== calls Int(1) and Real(1.0) equal, but their
-// Field::Hash values differ, so the legacy KeyView containers (hash first,
-// equality only within a bucket) keep them apart — distinct tags reproduce
+// Field::Hash values differ, so a hash container over Fields (hash first,
+// equality only within a bucket) keeps them apart — distinct tags reproduce
 // that exactly.
 enum Tag : unsigned char {
   kNull = 0x00,
@@ -115,6 +115,27 @@ StatusOr<EncodedKeyView> KeyEncoder::EncodeRow(const Row& row) {
   }
   bytes_encoded_ += buf_.size();
   return EncodedKeyView{SplitMix64(h), std::string_view(buf_)};
+}
+
+StatusOr<EncodedKeyView> KeyEncoder::EncodeAt(
+    const column::PartitionBlock& block, size_t i,
+    const std::vector<int>& cols) {
+  if (block.ragged()) return Encode(block.ragged_row(i), cols);
+  Begin();
+  for (int c : cols) {
+    TRANCE_RETURN_NOT_OK(Append(block.FieldAt(i, static_cast<size_t>(c))));
+  }
+  return Finish();
+}
+
+StatusOr<EncodedKeyView> KeyEncoder::EncodeRowAt(
+    const column::PartitionBlock& block, size_t i) {
+  if (block.ragged()) return EncodeRow(block.ragged_row(i));
+  Begin();
+  for (size_t c = 0; c < block.NumCols(); ++c) {
+    TRANCE_RETURN_NOT_OK(Append(block.FieldAt(i, c)));
+  }
+  return Finish();
 }
 
 void KeyEncoder::Begin() {

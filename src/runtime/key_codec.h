@@ -14,17 +14,17 @@
 //           therefore partition) identically, preserving the
 //           Partitioning::IsHashOn reuse guarantee.
 //
-// Equality is memcmp over the bytes. This agrees with the legacy
-// KeyView-based hash containers: two keys collide in those containers iff
-// they are Field-equal AND Field-hash-equal per column, which is exactly
-// when their encodings are byte-identical (asserted by
-// tests/key_codec_test.cc over randomized values). The one deliberate
-// difference: keys are *values* — no per-probe std::vector<Field> deep
-// copy, no variant dispatch per comparison.
+// Equality is memcmp over the bytes. Two keys are byte-identical exactly
+// when they are Field-equal AND Field-hash-equal per column — the identity
+// structural hash containers over Field vectors would give them (asserted by
+// tests/key_codec_test.cc over randomized values) — but keys are *values*:
+// no per-probe std::vector<Field> deep copy, no variant dispatch per
+// comparison.
 //
-// Bag-typed fields are rejected at encode time with a Status (keyed
-// operators require flat keys; see docs/ARCHITECTURE.md, "Row & key
-// encoding"). KeyView survives only as a debug/EXPLAIN rendering type.
+// Bag-typed fields are rejected at encode time with a TypeError ("keys must
+// be flat"): keyed operators require flat keys, which the typechecker and
+// the unnester already guarantee for every NRC program (see
+// docs/ARCHITECTURE.md, "Row & key encoding").
 #ifndef TRANCE_RUNTIME_KEY_CODEC_H_
 #define TRANCE_RUNTIME_KEY_CODEC_H_
 
@@ -34,6 +34,7 @@
 #include <utility>
 #include <vector>
 
+#include "runtime/column.h"
 #include "runtime/field.h"
 #include "util/status.h"
 
@@ -41,7 +42,7 @@ namespace trance {
 namespace runtime {
 namespace key_codec {
 
-/// An owning encoded key: the map/set key type of the keyed operators.
+/// An owning encoded key (tests and benchmarks hold pre-encoded keys).
 struct EncodedKey {
   uint64_t hash = 0;
   std::string bytes;
@@ -55,37 +56,10 @@ struct EncodedKeyView {
   std::string_view bytes;
 };
 
-/// Materializes a view into an owning key (one allocation, on insert only).
+/// Materializes a view into an owning key (one allocation).
 inline EncodedKey Materialize(const EncodedKeyView& v) {
   return EncodedKey{v.hash, std::string(v.bytes)};
 }
-
-/// Transparent hash/equality so unordered containers keyed by EncodedKey
-/// accept EncodedKeyView probes without materializing.
-struct EncodedKeyHash {
-  using is_transparent = void;
-  size_t operator()(const EncodedKey& k) const {
-    return static_cast<size_t>(k.hash);
-  }
-  size_t operator()(const EncodedKeyView& k) const {
-    return static_cast<size_t>(k.hash);
-  }
-};
-struct EncodedKeyEq {
-  using is_transparent = void;
-  bool operator()(const EncodedKey& a, const EncodedKey& b) const {
-    return a.hash == b.hash && a.bytes == b.bytes;
-  }
-  bool operator()(const EncodedKey& a, const EncodedKeyView& b) const {
-    return a.hash == b.hash && a.bytes == b.bytes;
-  }
-  bool operator()(const EncodedKeyView& a, const EncodedKey& b) const {
-    return a.hash == b.hash && a.bytes == b.bytes;
-  }
-  bool operator()(const EncodedKeyView& a, const EncodedKeyView& b) const {
-    return a.hash == b.hash && a.bytes == b.bytes;
-  }
-};
 
 /// Hash-table telemetry of one keyed phase, merged per partition in slot
 /// order after the stage barrier (so the stage totals are thread-count
@@ -95,8 +69,7 @@ struct KeyStats {
   uint64_t build_rows = 0;    // rows inserted into keyed hash structures
   uint64_t probe_hits = 0;    // lookups that found an existing key
   uint64_t max_chain = 0;     // max input rows mapped onto a single key
-  /// Flat-table telemetry (runtime/flat_hash.h); exactly 0 when
-  /// enable_flat_hash is off, like encode_bytes with the codec off.
+  /// Flat-table telemetry (runtime/flat_hash.h).
   uint64_t table_bytes = 0;    // slot array + arena footprint of flat tables
   uint64_t resizes = 0;        // flat-table slot-array doublings
   uint64_t probe_len_max = 0;  // longest open-addressing probe sequence
@@ -125,11 +98,20 @@ class KeyEncoder {
   /// Encodes every field of the row (full-row key, e.g. dedup).
   StatusOr<EncodedKeyView> EncodeRow(const Row& row);
 
-  /// Incremental per-field API for callers that project keys column-wise
-  /// (runtime/column.h blocks). Begin() resets the scratch buffer,
-  /// Append(field) encodes one key column, Finish() seals and returns the
-  /// view. The byte layout and hash are identical to Encode(row, cols) over
-  /// the same fields in the same order.
+  /// Encodes block[i][cols] straight from the block's cells; byte- and
+  /// hash-identical to Encode(block.RowAt(i), cols).
+  StatusOr<EncodedKeyView> EncodeAt(const column::PartitionBlock& block,
+                                    size_t i, const std::vector<int>& cols);
+  /// Encodes every cell of block row i; identical to
+  /// EncodeRow(block.RowAt(i)).
+  StatusOr<EncodedKeyView> EncodeRowAt(const column::PartitionBlock& block,
+                                       size_t i);
+
+  /// Incremental per-field API for callers that project keys column-wise.
+  /// Begin() resets the scratch buffer, Append(field) encodes one key
+  /// column, Finish() seals and returns the view. The byte layout and hash
+  /// are identical to Encode(row, cols) over the same fields in the same
+  /// order.
   void Begin();
   Status Append(const Field& f);
   EncodedKeyView Finish();
@@ -145,8 +127,7 @@ class KeyEncoder {
 };
 
 /// The codec's key hash without materializing bytes: exactly
-/// RowHashOn(row, cols). Shuffle routing uses this (via RowHashOn), which
-/// is why partition placement is bit-identical with the codec on or off.
+/// RowHashOn(row, cols), the hash shuffle routing places rows by.
 uint64_t KeyHashOn(const Row& row, const std::vector<int>& cols);
 
 }  // namespace key_codec

@@ -108,16 +108,13 @@ class SpillManager {
   std::string RunPath(uint64_t job, const std::string& tag, size_t partition,
                       size_t run) const;
 
-  /// Writes one run file holding `rows` (row-batch records). Accounts the
-  /// file's bytes against the budget and into *c.
-  Status WriteRowsRun(const std::string& path, const std::vector<Row>& rows,
-                      SpillCounters* c);
   /// Writes one run file holding a columnar block (one block record).
+  /// Accounts the file's bytes against the budget and into *c.
   Status WriteBlockRun(const std::string& path,
                        const column::PartitionBlock& block, SpillCounters* c);
-  /// Streams a run back, appending its rows to *out in written order.
-  /// `block_rows`, when non-null, accumulates the rows that came from block
-  /// records (the disk-side analogue of column_to_row_conversions).
+  /// Streams a run back as rows, appending them to *out in written order
+  /// (the row-level reference reader of the spill tests). `block_rows`,
+  /// when non-null, accumulates the rows that came from block records.
   Status ReadRun(const std::string& path, std::vector<Row>* out,
                  uint64_t* block_rows, SpillCounters* c);
   /// Streams a run back into a resident block. Block records of matching
@@ -131,21 +128,12 @@ class SpillManager {
   /// Deletes a restored run (no-op with keep_files) and releases its budget.
   void RemoveRun(const std::string& path);
 
-  /// The one-call spill site: writes *rows to max_run_bytes-bounded runs
-  /// (moving rows out as it goes), clears the vector, then streams every run
-  /// back in run order — restoring the identical row sequence — and removes
-  /// the runs. Counts one merge pass.
-  Status SpillAndRestoreRows(uint64_t job, const std::string& tag,
-                             size_t partition, std::vector<Row>* rows,
-                             SpillCounters* c);
-
-  /// Block-resident analogue of SpillAndRestoreRows: cuts *block into
-  /// max_run_bytes-bounded row ranges (by RowBytesAt), writes each range
-  /// straight from the block's columns as one block record run (bytes equal
-  /// to a chunk block of those rows), resets *block to an empty schema-typed
-  /// block, then restores the identical row sequence via ReadRunIntoBlock
-  /// and removes the runs. Counts one merge pass; never materializes a row
-  /// vector.
+  /// The one-call spill site: cuts *block into max_run_bytes-bounded row
+  /// ranges (by RowBytesAt), writes each range straight from the block's
+  /// columns as one block record run (bytes equal to a chunk block of those
+  /// rows), resets *block to an empty schema-typed block, then restores the
+  /// identical row sequence via ReadRunIntoBlock and removes the runs.
+  /// Counts one merge pass; never materializes a row vector.
   Status SpillAndRestoreBlock(uint64_t job, const std::string& tag,
                               size_t partition, const Schema& schema,
                               column::PartitionBlock* block,

@@ -36,16 +36,11 @@ Status FinishStage(Cluster* cluster, StageStats stage, Dataset* result,
     for (size_t p = 0; p < part_bytes.size(); ++p) {
       if (part_bytes[p] <= threshold) continue;
       spill::SpillCounters pc;
-      // Residence-preserving: block partitions round-trip as columnar serde
-      // records (no disk-side rowification) and come back block-resident.
-      spill_status =
-          result->store.block_resident()
-              ? cluster->spill_manager()->SpillAndRestoreBlock(
-                    cluster->current_job_id(), name, p, result->schema,
-                    &result->store.block(p), &pc)
-              : cluster->spill_manager()->SpillAndRestoreRows(
-                    cluster->current_job_id(), name, p,
-                    &result->store.rows(p), &pc);
+      // Blocks round-trip as columnar serde records (no disk-side
+      // rowification) and come back block-resident.
+      spill_status = cluster->spill_manager()->SpillAndRestoreBlock(
+          cluster->current_job_id(), name, p, result->schema,
+          &result->store.block(p), &pc);
       if (!spill_status.ok()) break;
       spilled[p] = 1;
       any_spilled = true;
@@ -210,10 +205,6 @@ void ChainWalk::Emit(size_t i, const Cell* cells, size_t n, uint64_t bytes) {
 }
 
 void ChainWalk::Output(const Cell* cells, size_t n) {
-  if (!out_->store.block_resident()) {
-    out_->store.rows(p_).push_back(BuildRow(cells, n));
-    return;
-  }
   column::PartitionBlock& block = out_->store.block(p_);
   if (block.ragged() || n != block.NumCols()) {
     block.AppendRow(BuildRow(cells, n));  // demotes to the ragged fallback
@@ -433,16 +424,10 @@ StatusOr<Dataset> RunStagePipeline(Cluster* cluster, const Dataset& in,
   const bool charge_final = ChargesEmitted(chain.back().kind);
   const bool track_work = charge_input || charge_final;
 
-  const bool columnar = cluster->columnar_enabled();
-
   Dataset out;
   out.schema = std::move(out_schema);
   const size_t nparts = in.NumPartitions();
-  if (columnar) {
-    out.store.InitBlocks(nparts, out.schema);
-  } else {
-    out.store.InitRows(nparts);
-  }
+  out.store.InitBlocks(nparts, out.schema);
   out.partitioning = std::move(out_partitioning);
 
   // Per-partition accumulator slots, merged in partition order after the
@@ -455,14 +440,12 @@ StatusOr<Dataset> RunStagePipeline(Cluster* cluster, const Dataset& in,
   std::vector<std::vector<uint64_t>> transform_rows(
       nparts, std::vector<uint64_t>(len, 0));
 
-  // One cell walk for every residence: block inputs feed block cells
-  // (ragged blocks and row-resident inputs feed cells borrowing the row's
-  // Fields), and the output appends column to column into the partition's
-  // resident block. Blocks are lossless and every byte charge is the Field
-  // accounting of the identical values, so each stat matches the row-level
-  // definition bit-for-bit; only columnar_bytes observes the residence. No
-  // row is materialized on the way (column_to_row_conversions in
-  // docs/METRICS.md).
+  // One cell walk: block inputs feed block cells (ragged blocks feed cells
+  // borrowing the row's Fields), and the output appends column to column
+  // into the partition's resident block. Blocks are lossless and every byte
+  // charge is the Field accounting of the identical values, so each stat
+  // matches the row-level definition bit-for-bit. No row is materialized on
+  // the way (column_to_row_conversions in docs/METRICS.md).
   auto task = [&](size_t p) {
     // The walk's per-level id counters reproduce the standalone operators'
     // uid scheme exactly: ids depend only on the partition and the row
@@ -480,15 +463,12 @@ StatusOr<Dataset> RunStagePipeline(Cluster* cluster, const Dataset& in,
       }
       walk.Feed(0, cells.data(), cells.size(), bytes);
     };
-    if (!in.store.block_resident()) {
-      for (const Row& row : in.store.rows(p)) feed_row(row);
-    } else if (in.store.block(p).ragged()) {
-      const column::PartitionBlock& block = in.store.block(p);
+    const column::PartitionBlock& block = in.store.block(p);
+    if (block.ragged()) {
       for (size_t r = 0; r < block.NumRows(); ++r) {
         feed_row(block.ragged_row(r));
       }
     } else {
-      const column::PartitionBlock& block = in.store.block(p);
       cells.clear();
       for (size_t c = 0; c < block.NumCols(); ++c) {
         cells.push_back(Cell::Block(&block.col(c), 0));
@@ -508,7 +488,7 @@ StatusOr<Dataset> RunStagePipeline(Cluster* cluster, const Dataset& in,
     out_bytes[p] = walk.out_bytes;
     avoided[p] = walk.avoided;
     transform_rows[p] = std::move(walk.rows);
-    if (columnar) col_bytes[p] = out.store.block(p).ByteFootprint();
+    col_bytes[p] = out.store.block(p).ByteFootprint();
   };
 
   StageStats stage;

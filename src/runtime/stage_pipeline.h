@@ -12,8 +12,7 @@
 //
 // Rows flow through the chain as *cell references*, not Rows. A Cell is
 // either a resident block cell (column, row) or a borrowed `const Field*`:
-// a field of a row-resident input row, of a ragged block row, or of a bag
-// element; a value a transform computed into its per-level scratch (stable
+// a field of a ragged block row or of a bag element; a value a transform computed into its per-level scratch (stable
 // for the downstream walk of the row that produced it); or a shared NULL.
 // Structured transforms are pass-through column indices plus compiled
 // computed columns (scalar expressions compiled against the CellRow
@@ -21,16 +20,14 @@
 // select tests a predicate on the cells, project/extend rearrange cell
 // references, unnest borrows the bag's inner fields, and the last step
 // appends column to column (typed AnyColumn::AppendFrom copies for block
-// cells, Append(Field) for borrowed ones). Only the opaque closure steps,
-// row-resident output and ragged output (a width the output block's schema
-// does not have) build Rows.
+// cells, Append(Field) for borrowed ones). Only the opaque closure steps
+// and ragged output (a width the output block's schema does not have) build
+// Rows.
 //
-// There is one runner for every residence: row-resident inputs
-// (enable_columnar off) feed the same cell walk, with cells pointing at the
-// row's Fields. The standalone bulk operators (MapRows, FilterRows,
-// FlatMapRows, Unnest, OuterUnnest, AddIndexColumn in runtime/ops.cc) are
-// single-transform chains of the same runner, so the fused and standalone
-// paths share one implementation and one stats discipline.
+// The standalone bulk operators (MapRows, FilterRows, FlatMapRows, Unnest,
+// OuterUnnest, AddIndexColumn in runtime/ops.cc) are single-transform
+// chains of the same runner, so the fused and standalone paths share one
+// implementation and one stats discipline.
 //
 // Stats contract:
 //  - A single-transform chain records a StageStats bit-identical to the

@@ -15,8 +15,9 @@
 // with its documented TypeError and Schema::Require names the missing
 // column and the schema; Partitioning::IsHashOn handles permutations and
 // duplicate column lists on both the small (alloc-free) and large (sorted)
-// paths; Dataset::Collect and ToBlocks/FromBlocks are thread-count
-// invariant.
+// paths; Dataset::Collect is thread-count invariant; PartitionStore serves
+// rows and byte accounting from its blocks exactly as the input rows define
+// them.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -308,9 +309,11 @@ TEST(PartitioningTest, IsHashOnHandlesPermutationsAndDuplicates) {
 Dataset MakeDataset(Rng* rng, size_t nparts, size_t rows_per) {
   Dataset d;
   d.schema = MixedSchema();
-  d.store.InitRows(nparts);
+  d.store.InitBlocks(nparts, d.schema);
   for (size_t p = 0; p < nparts; ++p) {
-    d.store.rows(p) = RandomRows(rng, rows_per, d.schema.size());
+    for (const Row& r : RandomRows(rng, rows_per, d.schema.size())) {
+      d.store.block(p).AppendRow(r);
+    }
   }
   return d;
 }
@@ -338,89 +341,67 @@ TEST(DatasetTest, CollectIsThreadCountInvariant) {
 }
 
 TEST(PartitionStoreTest, RowsBlocksRoundTrip) {
-  // The storage abstraction under Dataset: the same row sequence held in
-  // either residence serves identical reads through every accessor —
-  // RowCount, RowAt, MaterializeRows, AppendRowsTo, PartitionRowBytes —
+  // The storage under Dataset: a row sequence appended to a partition's
+  // block is served back identically through every accessor — RowCount,
+  // RowAt, MaterializeRows, PartitionRowBytes (== the RowDeepSize sum) —
   // including empty partitions and rows that force the variant and ragged
   // block fallbacks (RandomRows mixes types and NULLs deliberately).
   Rng rng(11);
   Schema schema = MixedSchema();
   const size_t nparts = 5;
-  runtime::PartitionStore rows_store;
-  rows_store.InitRows(nparts);
-  runtime::PartitionStore block_store;
-  block_store.InitBlocks(nparts, schema);
+  runtime::PartitionStore store;
+  store.InitBlocks(nparts, schema);
+  std::vector<std::vector<Row>> expected(nparts);
   for (size_t p = 0; p < nparts; ++p) {
     // Partition 2 stays empty on purpose.
-    std::vector<Row> rows =
-        p == 2 ? std::vector<Row>{} : RandomRows(&rng, 60 + 10 * p, schema.size());
-    for (const Row& r : rows) block_store.block(p).AppendRow(r);
-    rows_store.rows(p) = std::move(rows);
+    if (p != 2) expected[p] = RandomRows(&rng, 60 + 10 * p, schema.size());
+    for (const Row& r : expected[p]) store.block(p).AppendRow(r);
   }
-  EXPECT_FALSE(rows_store.block_resident());
-  EXPECT_TRUE(block_store.block_resident());
-  ASSERT_EQ(rows_store.NumPartitions(), block_store.NumPartitions());
-  EXPECT_EQ(rows_store.NumRows(), block_store.NumRows());
+  ASSERT_EQ(store.NumPartitions(), nparts);
+  size_t total = 0;
+  for (const auto& rows : expected) total += rows.size();
+  EXPECT_EQ(store.NumRows(), total);
   for (size_t p = 0; p < nparts; ++p) {
     SCOPED_TRACE("partition " + std::to_string(p));
-    ASSERT_EQ(rows_store.RowCount(p), block_store.RowCount(p));
-    EXPECT_EQ(rows_store.PartitionRowBytes(p), block_store.PartitionRowBytes(p));
-    ExpectRowsEqual(rows_store.MaterializeRows(p),
-                    block_store.MaterializeRows(p));
-    std::vector<Row> from_rows;
-    rows_store.AppendRowsTo(p, &from_rows);
-    std::vector<Row> from_blocks;
-    block_store.AppendRowsTo(p, &from_blocks);
-    ExpectRowsEqual(from_rows, from_blocks);
-    for (size_t i = 0; i < rows_store.RowCount(p); ++i) {
-      ExpectRowsEqual({rows_store.RowAt(p, i)}, {block_store.RowAt(p, i)});
+    ASSERT_EQ(store.RowCount(p), expected[p].size());
+    uint64_t bytes = 0;
+    for (const Row& r : expected[p]) bytes += RowDeepSize(r);
+    EXPECT_EQ(store.PartitionRowBytes(p), bytes);
+    ExpectRowsEqual(store.MaterializeRows(p), expected[p]);
+    for (size_t i = 0; i < store.RowCount(p); ++i) {
+      ExpectRowsEqual({store.RowAt(p, i)}, {expected[p][i]});
     }
-    // Clear preserves residence and empties the partition.
-    block_store.Clear(p);
-    EXPECT_TRUE(block_store.block_resident());
-    EXPECT_EQ(block_store.RowCount(p), 0u);
+    // Clear empties the partition back to a schema-typed block.
+    store.Clear(p);
+    EXPECT_EQ(store.RowCount(p), 0u);
+    EXPECT_FALSE(store.block(p).ragged());
   }
 }
 
 TEST(PartitionStoreTest, ByteAccountingParityBlockVsRow) {
-  // Satellite invariant: Dataset::PartitionBytes / DeepSizeBytes report the
-  // same numbers whichever residence holds the rows (RowBytesAt mirrors
-  // RowDeepSize cell by cell), at any thread count. Randomized over the
-  // full Field-kind mix, variant/ragged demotions included.
+  // Dataset::PartitionBytes / DeepSizeBytes report the RowDeepSize sums of
+  // the rows the blocks hold (RowBytesAt mirrors RowDeepSize cell by cell),
+  // at any thread count. Randomized over the full Field-kind mix,
+  // variant/ragged demotions included.
   Rng rng(12);
   Schema schema = MixedSchema();
   const size_t nparts = 6;
-  Dataset by_rows;
-  by_rows.schema = schema;
-  by_rows.store.InitRows(nparts);
   Dataset by_blocks;
   by_blocks.schema = schema;
   by_blocks.store.InitBlocks(nparts, schema);
+  std::vector<uint64_t> row_bytes(nparts, 0);
+  uint64_t total = 0;
   for (size_t p = 0; p < nparts; ++p) {
-    std::vector<Row> rows = RandomRows(&rng, 40 + 17 * p, schema.size());
-    for (const Row& r : rows) by_blocks.store.block(p).AppendRow(r);
-    by_rows.store.rows(p) = std::move(rows);
+    for (const Row& r : RandomRows(&rng, 40 + 17 * p, schema.size())) {
+      by_blocks.store.block(p).AppendRow(r);
+      row_bytes[p] += RowDeepSize(r);
+    }
+    total += row_bytes[p];
   }
   for (int threads : {1, 4}) {
     SCOPED_TRACE("threads " + std::to_string(threads));
-    EXPECT_EQ(by_rows.PartitionBytes(threads), by_blocks.PartitionBytes(threads));
-    EXPECT_EQ(by_rows.DeepSizeBytes(threads), by_blocks.DeepSizeBytes(threads));
-  }
-}
-
-TEST(DatasetTest, ToBlocksFromBlocksRoundTrips) {
-  Rng rng(6);
-  Dataset d = MakeDataset(&rng, 5, 80);
-  for (int threads : {1, 4}) {
-    auto blocks = d.ToBlocks(threads);
-    ASSERT_EQ(blocks.size(), d.NumPartitions());
-    Dataset back = Dataset::FromBlocks(d.schema, blocks,
-                                       Partitioning::None(), threads);
-    ASSERT_EQ(back.NumPartitions(), d.NumPartitions());
-    for (size_t p = 0; p < d.NumPartitions(); ++p) {
-      SCOPED_TRACE("partition " + std::to_string(p));
-      ExpectRowsEqual(back.PartitionRows(p), d.PartitionRows(p));
-    }
+    EXPECT_EQ(by_blocks.PartitionBytes(threads), row_bytes);
+    EXPECT_EQ(by_blocks.DeepSizeBytes(threads), total);
   }
 }
 

@@ -1,15 +1,12 @@
-// End-to-end columnar-block equivalence tests (ctest label `columnar`).
+// End-to-end columnar-block tests (ctest label `columnar`).
 //
 // Every Fig-7 narrow-suite query, through both compilation routes, produces
 // identical per-partition rows (hence identical placement), identical
-// shuffle bytes, and identical pre-existing JobStats — including the PR-5
-// keyed counters and the PR-7 flat-table counters — with
-// ExecOptions::enable_columnar on and off, at 1, 4, and 8 threads. The
-// columnar-only counters (columnar_bytes / column_to_row_conversions) are
-// nonzero on and exactly zero off, they compose with enable_key_codec off
-// (the legacy keyed route never packs blocks inside keyed operators, but
-// shuffles and narrow stages still do), and they flow into EXPLAIN ANALYZE
-// ("col(blocks=") and the JSON export.
+// shuffle bytes, and identical JobStats — the keyed, flat-table and
+// columnar counters included — at 1, 4, and 8 threads. Operators build
+// typed blocks (columnar_bytes > 0) and never convert block rows back into
+// retained rows (column_to_row_conversions == 0), and both counters flow
+// into EXPLAIN ANALYZE ("col(blocks=") and the JSON export.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -60,10 +57,9 @@ void ExpectSameRows(const Dataset& a, const Dataset& b) {
   }
 }
 
-/// Full JobStats equality except wall-clock and the columnar-only counters
-/// (those are checked separately: nonzero on, zero off). Every pre-existing
-/// counter — movement, fusion, keyed, and flat-table telemetry — must be
-/// columnar-invariant.
+/// Full JobStats equality except wall-clock and the columnar counters
+/// (checked separately by the callers): movement, fusion, keyed, and
+/// flat-table telemetry.
 void ExpectSameStats(const JobStats& a, const JobStats& b) {
   EXPECT_EQ(a.total_shuffle_bytes(), b.total_shuffle_bytes());
   EXPECT_EQ(a.max_stage_shuffle_bytes(), b.max_stage_shuffle_bytes());
@@ -122,12 +118,9 @@ struct StandardModeRun {
 
 StandardModeRun RunStandardMode(const nrc::Program& q,
                                 const std::map<std::string, Value>& values,
-                                bool columnar, int threads,
-                                bool key_codec = true) {
+                                int threads) {
   runtime::Cluster cluster(Config(threads));
   exec::PipelineOptions opts;
-  opts.exec.enable_columnar = columnar;
-  opts.exec.enable_key_codec = key_codec;
   exec::Executor executor(&cluster, opts.exec);
   for (const auto& in : q.inputs) {
     auto v = values.find(in.name);
@@ -155,10 +148,9 @@ struct ShreddedModeRun {
 
 ShreddedModeRun RunShreddedMode(const nrc::Program& q,
                                 const std::map<std::string, Value>& values,
-                                bool columnar, int threads) {
+                                int threads) {
   runtime::Cluster cluster(Config(threads));
   exec::PipelineOptions opts;
-  opts.exec.enable_columnar = columnar;
   exec::Executor executor(&cluster, opts.exec);
   int64_t seed = 0;
   for (const auto& in : q.inputs) {
@@ -223,6 +215,10 @@ class ColumnarSuiteTest
   }
 };
 
+// The test names predate block residence as the only storage; each route is
+// checked for thread-count invariance (the columnar counters included:
+// per-partition slots are folded in partition order, not completion order),
+// built blocks and zero conversions.
 TEST_P(ColumnarSuiteTest, StandardRouteOnOffIdentical) {
   auto [k, depth] = GetParam();
   Kind kind = static_cast<Kind>(k);
@@ -230,38 +226,20 @@ TEST_P(ColumnarSuiteTest, StandardRouteOnOffIdentical) {
   ASSERT_TRUE(q.ok()) << q.status().ToString();
   auto values = Inputs(kind, depth);
 
-  StandardModeRun on1 = RunStandardMode(*q, values, true, 1);
-  StandardModeRun on4 = RunStandardMode(*q, values, true, 4);
-  StandardModeRun on8 = RunStandardMode(*q, values, true, 8);
-  StandardModeRun off1 = RunStandardMode(*q, values, false, 1);
-  StandardModeRun off4 = RunStandardMode(*q, values, false, 4);
-  StandardModeRun off8 = RunStandardMode(*q, values, false, 8);
+  StandardModeRun on1 = RunStandardMode(*q, values, 1);
+  StandardModeRun on4 = RunStandardMode(*q, values, 4);
+  StandardModeRun on8 = RunStandardMode(*q, values, 8);
 
-  // Each mode independently keeps the thread-count-independence contract —
-  // the columnar-only counters included (per-partition slots are folded in
-  // partition order, not completion order).
   ExpectSameRows(on1.out, on4.out);
   ExpectSameRows(on1.out, on8.out);
   ExpectSameStats(on1.stats, on4.stats);
   ExpectSameStats(on1.stats, on8.stats);
   EXPECT_EQ(on1.stats.columnar_bytes(), on4.stats.columnar_bytes());
   EXPECT_EQ(on1.stats.columnar_bytes(), on8.stats.columnar_bytes());
-  EXPECT_EQ(on1.stats.column_to_row_conversions(),
-            on4.stats.column_to_row_conversions());
-  EXPECT_EQ(on1.stats.column_to_row_conversions(),
-            on8.stats.column_to_row_conversions());
-  ExpectSameRows(off1.out, off4.out);
-  ExpectSameRows(off1.out, off8.out);
-  ExpectSameStats(off1.stats, off4.stats);
-  ExpectSameStats(off1.stats, off8.stats);
-
-  // Across modes: identical rows in identical partitions (placement) and
-  // identical pre-existing stats; only the columnar-only counters differ.
-  ExpectSameRows(on1.out, off1.out);
-  ExpectSameStats(on1.stats, off1.stats);
   EXPECT_GT(on1.stats.columnar_bytes(), 0u);
-  EXPECT_EQ(off1.stats.columnar_bytes(), 0u);
-  EXPECT_EQ(off1.stats.column_to_row_conversions(), 0u);
+  EXPECT_EQ(on1.stats.column_to_row_conversions(), 0u);
+  EXPECT_EQ(on4.stats.column_to_row_conversions(), 0u);
+  EXPECT_EQ(on8.stats.column_to_row_conversions(), 0u);
 }
 
 TEST_P(ColumnarSuiteTest, ShreddedRouteOnOffIdentical) {
@@ -271,12 +249,9 @@ TEST_P(ColumnarSuiteTest, ShreddedRouteOnOffIdentical) {
   ASSERT_TRUE(q.ok()) << q.status().ToString();
   auto values = Inputs(kind, depth);
 
-  ShreddedModeRun on1 = RunShreddedMode(*q, values, true, 1);
-  ShreddedModeRun on4 = RunShreddedMode(*q, values, true, 4);
-  ShreddedModeRun on8 = RunShreddedMode(*q, values, true, 8);
-  ShreddedModeRun off1 = RunShreddedMode(*q, values, false, 1);
-  ShreddedModeRun off4 = RunShreddedMode(*q, values, false, 4);
-  ShreddedModeRun off8 = RunShreddedMode(*q, values, false, 8);
+  ShreddedModeRun on1 = RunShreddedMode(*q, values, 1);
+  ShreddedModeRun on4 = RunShreddedMode(*q, values, 4);
+  ShreddedModeRun on8 = RunShreddedMode(*q, values, 8);
 
   ExpectSameShreddedRows(on1.run, on4.run);
   ExpectSameShreddedRows(on1.run, on8.run);
@@ -284,16 +259,8 @@ TEST_P(ColumnarSuiteTest, ShreddedRouteOnOffIdentical) {
   ExpectSameStats(on1.stats, on8.stats);
   EXPECT_EQ(on1.stats.columnar_bytes(), on4.stats.columnar_bytes());
   EXPECT_EQ(on1.stats.columnar_bytes(), on8.stats.columnar_bytes());
-  ExpectSameShreddedRows(off1.run, off4.run);
-  ExpectSameShreddedRows(off1.run, off8.run);
-  ExpectSameStats(off1.stats, off4.stats);
-  ExpectSameStats(off1.stats, off8.stats);
-
-  ExpectSameShreddedRows(on1.run, off1.run);
-  ExpectSameStats(on1.stats, off1.stats);
   EXPECT_GT(on1.stats.columnar_bytes(), 0u);
-  EXPECT_EQ(off1.stats.columnar_bytes(), 0u);
-  EXPECT_EQ(off1.stats.column_to_row_conversions(), 0u);
+  EXPECT_EQ(on1.stats.column_to_row_conversions(), 0u);
 }
 
 std::string ColumnarParamName(
@@ -310,48 +277,12 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(0, 2, 4)),
     ColumnarParamName);
 
-// --- Flag composition and counter plumbing -------------------------------
-
-TEST(ColumnarRuntimeTest, ComposesWithLegacyKeyRoute) {
-  // With the key codec off (legacy KeyView containers) the keyed operators
-  // hand off row-resident partitions, but shuffles and narrow stages still
-  // run block-resident; results and every pre-existing stat stay identical
-  // across all four flag settings.
-  auto q = tpch::FlatToNested(2, tpch::Width::kNarrow);
-  ASSERT_TRUE(q.ok()) << q.status().ToString();
-  tpch::TpchConfig cfg;
-  cfg.scale = 0.0005;
-  auto values = TpchValues(tpch::Generate(cfg));
-
-  StandardModeRun codec_col = RunStandardMode(*q, values, true, 1, true);
-  StandardModeRun codec_row = RunStandardMode(*q, values, false, 1, true);
-  StandardModeRun legacy_col = RunStandardMode(*q, values, true, 1, false);
-  StandardModeRun legacy_row = RunStandardMode(*q, values, false, 1, false);
-
-  ExpectSameRows(codec_col.out, codec_row.out);
-  ExpectSameRows(codec_col.out, legacy_col.out);
-  ExpectSameRows(codec_col.out, legacy_row.out);
-  ExpectSameStats(codec_col.stats, codec_row.stats);
-  // Legacy runs have different keyed counters (no codec), but within the
-  // legacy route the columnar flag is still stats-transparent.
-  ExpectSameStats(legacy_col.stats, legacy_row.stats);
-  EXPECT_GT(legacy_col.stats.columnar_bytes(), 0u);
-  EXPECT_EQ(legacy_row.stats.columnar_bytes(), 0u);
-  // The encoded route keeps keyed-operator outputs block-resident on top of
-  // the shared shuffle/stage blocks, so it accounts at least as many
-  // columnar bytes.
-  EXPECT_GE(codec_col.stats.columnar_bytes(),
-            legacy_col.stats.columnar_bytes());
-}
+// --- Counter plumbing -----------------------------------------------------
 
 TEST(ColumnarRuntimeTest, BlockResidentRouteConvertsNothing) {
-  // The tentpole property: with partitions block-resident end to end
-  // (columnar on, keys encodable), no operator materializes a block-backed
-  // input into retained rows — column_to_row_conversions is exactly zero
-  // across the whole Fig-7 narrow suite. The counter itself still works: the
-  // legacy keyed route (codec off) reads block-resident shuffle outputs into
-  // its row-keyed containers and must report those materializations.
-  uint64_t legacy_total = 0;
+  // With partitions block-resident end to end, no operator materializes a
+  // block-backed input into retained rows — column_to_row_conversions is
+  // exactly zero across the whole Fig-7 narrow suite.
   for (int kind = 0; kind <= 2; ++kind) {
     for (int depth : {0, 2}) {
       SCOPED_TRACE("kind " + std::to_string(kind) + " depth " +
@@ -370,16 +301,11 @@ TEST(ColumnarRuntimeTest, BlockResidentRouteConvertsNothing) {
         ASSERT_TRUE(nested.ok());
         values = {{"COP", nested->at("Q")}, {"Part", values.at("Part")}};
       }
-      StandardModeRun on = RunStandardMode(*q, values, true, 1);
+      StandardModeRun on = RunStandardMode(*q, values, 1);
       EXPECT_GT(on.stats.columnar_bytes(), 0u);
       EXPECT_EQ(on.stats.column_to_row_conversions(), 0u);
-      StandardModeRun legacy = RunStandardMode(*q, values, true, 1, false);
-      legacy_total += legacy.stats.column_to_row_conversions();
     }
   }
-  // A depth-0 flat query may run no keyed operator at all, but across the
-  // suite the legacy containers materialize plenty of block-backed rows.
-  EXPECT_GT(legacy_total, 0u);
 }
 
 TEST(ColumnarRuntimeTest, CountersVisibleInJsonAndExplain) {
@@ -388,7 +314,7 @@ TEST(ColumnarRuntimeTest, CountersVisibleInJsonAndExplain) {
   tpch::TpchConfig cfg;
   cfg.scale = 0.0005;
   auto values = TpchValues(tpch::Generate(cfg));
-  StandardModeRun r = RunStandardMode(*q, values, true, 1);
+  StandardModeRun r = RunStandardMode(*q, values, 1);
   EXPECT_GT(r.stats.columnar_bytes(), 0u);
 
   std::string json = obs::JobStatsToJson(r.stats);
@@ -397,11 +323,6 @@ TEST(ColumnarRuntimeTest, CountersVisibleInJsonAndExplain) {
       << json;
 
   EXPECT_NE(r.explain.find("col(blocks="), std::string::npos) << r.explain;
-
-  // With the flag off the explain suffix disappears (counters are zero).
-  StandardModeRun off = RunStandardMode(*q, values, false, 1);
-  EXPECT_EQ(off.explain.find("col(blocks="), std::string::npos)
-      << off.explain;
 }
 
 }  // namespace

@@ -407,6 +407,73 @@ TEST(OpsTest, DistinctRemovesDuplicates) {
   EXPECT_EQ(d.NumRows(), 3u);
 }
 
+TEST(OpsTest, DistinctCountsKeyedWork) {
+  // 1000 rows over 100 distinct (k, v) pairs: 100 keys built, 900 duplicate
+  // membership hits, 10 rows per key — counted on the flat table over
+  // encoded keys.
+  Cluster cluster(ClusterConfig{.num_partitions = 8, .num_threads = 1});
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 1000; ++i) {
+    rows.push_back(
+        Row({Field::Int(i % 100), Field::Str("v" + std::to_string(i % 100))}));
+  }
+  Schema s({{"k", nrc::Type::Int()}, {"v", nrc::Type::String()}});
+  auto ds = Source(&cluster, s, std::move(rows), "in").ValueOrDie();
+  cluster.stats().Reset();
+  auto out = Distinct(&cluster, ds, "dedup").ValueOrDie();
+  EXPECT_EQ(out.NumRows(), 100u);
+  const StageStats& stage = cluster.stats().stages().back();
+  EXPECT_EQ(stage.hash_build_rows, 100u);
+  EXPECT_EQ(stage.hash_probe_hits, 900u);
+  EXPECT_EQ(stage.hash_max_chain, 10u);
+  EXPECT_GT(stage.key_encode_bytes, 0u);
+  EXPECT_GT(stage.hash_table_bytes, 0u);
+  EXPECT_GT(stage.columnar_bytes, 0u);
+  EXPECT_EQ(stage.column_to_row_conversions, 0u);
+}
+
+TEST(OpsTest, BagKeysAreRejectedByKeyedOperators) {
+  // Keyed operators require flat keys: a bag-typed key column reaching the
+  // key codec fails the operator with the codec's TypeError, at any thread
+  // count.
+  const Schema bag_schema(
+      {{"b", nrc::Type::Bag(nrc::Type::Tuple({{"x", nrc::Type::Int()}}))},
+       {"v", nrc::Type::Int()}});
+  auto bag_rows = [] {
+    std::vector<Row> rows;
+    for (int64_t i = 0; i < 40; ++i) {
+      rows.push_back(Row({Field::Bag({Row({Field::Int(i % 5)})}),
+                          Field::Int(i)}));
+    }
+    return rows;
+  };
+  auto expect_flat_key_error = [](const Status& st) {
+    EXPECT_EQ(st.code(), StatusCode::kTypeError) << st.ToString();
+    EXPECT_NE(st.ToString().find("keys must be flat"), std::string::npos)
+        << st.ToString();
+  };
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    Cluster cluster(
+        ClusterConfig{.num_partitions = 4, .num_threads = threads});
+    auto ds = Source(&cluster, bag_schema, bag_rows(), "bags").ValueOrDie();
+    auto other = Source(&cluster, bag_schema, bag_rows(), "more").ValueOrDie();
+
+    auto distinct = Distinct(&cluster, ds, "dedup");
+    ASSERT_FALSE(distinct.ok());
+    expect_flat_key_error(distinct.status());
+
+    auto nest = NestGroup(&cluster, ds, {0}, {1}, "vs", "nest");
+    ASSERT_FALSE(nest.ok());
+    expect_flat_key_error(nest.status());
+
+    auto join = HashJoin(&cluster, ds, other, {0}, {0}, JoinType::kInner,
+                         "join");
+    ASSERT_FALSE(join.ok());
+    expect_flat_key_error(join.status());
+  }
+}
+
 TEST(OpsTest, CoGroupAttachesMatchBags) {
   Cluster cluster(ClusterConfig{.num_partitions = 4});
   auto l = Source(&cluster, KvSchema(), KvRows({{1, 10}, {2, 20}}), "l")

@@ -77,43 +77,10 @@ TEST(SkewTest, ThresholdBoundsHeavyKeyCount) {
   EXPECT_LE(hk.size(), 10u);  // 1 / 0.10
 }
 
-TEST(SkewTest, EncodedAndLegacySamplingAgree) {
-  // Heavy-key detection is codec-invariant: the same hash-selected sample
-  // produces the same heavy set (count and membership) whether frequencies
-  // are keyed by encoded keys or legacy KeyView copies, and the sampling
-  // stage's telemetry — including the keyed hash-table counters — matches;
-  // only key_encode_bytes distinguishes the modes.
-  ClusterConfig cfg{.num_partitions = 4};
-  auto detect = [&](bool codec) {
-    Cluster cluster(cfg);
-    cluster.set_key_codec_enabled(codec);
-    Dataset ds = Skewed(&cluster, 900, 50);
-    cluster.stats().Reset();
-    HeavyKeySet hk = DetectHeavyKeys(&cluster, ds, {0});
-    return std::make_pair(std::move(hk), cluster.stats().stages().back());
-  };
-  auto [enc, enc_stage] = detect(true);
-  auto [leg, leg_stage] = detect(false);
-  EXPECT_TRUE(enc.use_codec);
-  EXPECT_FALSE(leg.use_codec);
-  EXPECT_EQ(enc.size(), leg.size());
-  for (int64_t k : {int64_t{7}, int64_t{100}, int64_t{101}, int64_t{149}}) {
-    Row probe({Field::Int(k), Field::Int(0)});
-    EXPECT_EQ(enc.IsHeavy(probe, {0}), leg.IsHeavy(probe, {0})) << "key " << k;
-  }
-  EXPECT_EQ(enc_stage.rows_in, leg_stage.rows_in);
-  EXPECT_EQ(enc_stage.heavy_key_count, leg_stage.heavy_key_count);
-  EXPECT_EQ(enc_stage.shuffle_bytes, leg_stage.shuffle_bytes);
-  EXPECT_EQ(enc_stage.hash_build_rows, leg_stage.hash_build_rows);
-  EXPECT_EQ(enc_stage.hash_probe_hits, leg_stage.hash_probe_hits);
-  EXPECT_EQ(enc_stage.hash_max_chain, leg_stage.hash_max_chain);
-  EXPECT_GT(enc_stage.key_encode_bytes, 0u);
-  EXPECT_EQ(leg_stage.key_encode_bytes, 0u);
-}
-
 TEST(SkewTest, SplitPartitionsRowsExactly) {
   Cluster cluster(ClusterConfig{.num_partitions = 4});
   Dataset ds = Skewed(&cluster, 500, 40);
+  cluster.stats().Reset();
   auto triple = SplitByHeavyKeys(&cluster, ds, {0}, std::nullopt, "t");
   ASSERT_TRUE(triple.ok());
   EXPECT_EQ(triple->light.NumRows() + triple->heavy.NumRows(), 540u);
@@ -123,6 +90,24 @@ TEST(SkewTest, SplitPartitionsRowsExactly) {
   for (const auto& r : triple->light.Collect()) {
     EXPECT_NE(r.fields[0].AsInt(), 7);
   }
+  // Both components are block-resident (one typed block per partition), and
+  // the split stage charges exactly their footprint to columnar_bytes.
+  ASSERT_EQ(triple->light.NumPartitions(), ds.NumPartitions());
+  ASSERT_EQ(triple->heavy.NumPartitions(), ds.NumPartitions());
+  uint64_t footprint = 0;
+  for (size_t p = 0; p < ds.NumPartitions(); ++p) {
+    const auto& light = triple->light.store.block(p);
+    const auto& heavy = triple->heavy.store.block(p);
+    EXPECT_EQ(light.NumCols(), ds.schema.size());
+    EXPECT_EQ(heavy.NumCols(), ds.schema.size());
+    EXPECT_FALSE(light.ragged());
+    EXPECT_FALSE(heavy.ragged());
+    footprint += light.ByteFootprint() + heavy.ByteFootprint();
+  }
+  EXPECT_GT(footprint, 0u);
+  const runtime::StageStats& split = cluster.stats().stages().back();
+  EXPECT_EQ(split.op, "t.split");
+  EXPECT_EQ(split.columnar_bytes, footprint);
 }
 
 TEST(SkewTest, SkewAwareJoinMatchesPlainJoin) {

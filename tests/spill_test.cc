@@ -143,12 +143,10 @@ struct ModeRun {
 /// aborting on failure (capped spill-off runs are SUPPOSED to fail).
 ModeRun RunStandardMode(const nrc::Program& q,
                         const std::map<std::string, Value>& values,
-                        int threads, uint64_t cap, bool spill,
-                        bool columnar = true) {
+                        int threads, uint64_t cap, bool spill) {
   runtime::Cluster cluster(Config(threads, cap));
   exec::PipelineOptions opts;
   opts.exec.enable_spill = spill;
-  opts.exec.enable_columnar = columnar;
   exec::Executor executor(&cluster, opts.exec);
   ModeRun r;
   for (const auto& in : q.inputs) {
@@ -398,8 +396,7 @@ TEST(SpillRuntimeTest, CountersVisibleInJsonAndExplain) {
 TEST(SpillRuntimeTest, BlockResidentSpillAvoidsRowification) {
   // Block-resident partitions spill as columnar serde records: every row
   // that round-trips through disk without being rowified is counted in
-  // spill_rowify_avoided. The row route (columnar off) writes row batches
-  // and reports zero. The counter is visible in the JSON export and the
+  // spill_rowify_avoided. The counter is visible in the JSON export and the
   // EXPLAIN spill clause.
   auto q = tpch::FlatToNested(2, tpch::Width::kNarrow);
   ASSERT_TRUE(q.ok()) << q.status().ToString();
@@ -407,7 +404,7 @@ TEST(SpillRuntimeTest, BlockResidentSpillAvoidsRowification) {
   cfg.scale = 0.0005;
   auto values = TpchValues(tpch::Generate(cfg));
 
-  ModeRun col = RunStandardMode(*q, values, 1, kTinyCap, true, true);
+  ModeRun col = RunStandardMode(*q, values, 1, kTinyCap, true);
   ASSERT_TRUE(col.ok) << col.status.ToString();
   EXPECT_GT(col.stats.spill_runs(), 0u);
   EXPECT_GT(col.stats.spill_rowify_avoided(), 0u);
@@ -416,13 +413,8 @@ TEST(SpillRuntimeTest, BlockResidentSpillAvoidsRowification) {
   EXPECT_NE(col.explain.find("rowify_avoided="), std::string::npos)
       << col.explain;
 
-  ModeRun row = RunStandardMode(*q, values, 1, kTinyCap, true, false);
-  ASSERT_TRUE(row.ok) << row.status.ToString();
-  EXPECT_GT(row.stats.spill_runs(), 0u);
-  EXPECT_EQ(row.stats.spill_rowify_avoided(), 0u);
-
   // Thread-count invariance, like every other spill counter.
-  ModeRun col4 = RunStandardMode(*q, values, 4, kTinyCap, true, true);
+  ModeRun col4 = RunStandardMode(*q, values, 4, kTinyCap, true);
   ASSERT_TRUE(col4.ok) << col4.status.ToString();
   EXPECT_EQ(col.stats.spill_rowify_avoided(),
             col4.stats.spill_rowify_avoided());
@@ -476,17 +468,27 @@ TEST(SpillManagerTest, RunNamingIsDeterministicAndSanitized) {
   EXPECT_EQ(p.find(' ', m.root_dir().size()), std::string::npos) << p;
 }
 
+/// The three-column (int, string, real) schema of MakeRows.
+runtime::Schema MakeRowsSchema() {
+  return runtime::Schema({{"i", nrc::Type::Int()},
+                          {"s", nrc::Type::String()},
+                          {"r", nrc::Type::Real()}});
+}
+
 TEST(SpillManagerTest, SpillAndRestorePreservesOrderAndReleasesDisk) {
   runtime::spill::SpillConfig cfg;
   cfg.dir = ::testing::TempDir();
   cfg.max_run_bytes = 1024;  // force several runs
   runtime::spill::SpillManager m(cfg);
-  std::vector<Row> rows = MakeRows(500, "value-");
-  std::vector<Row> expected = rows;
+  const runtime::Schema schema = MakeRowsSchema();
+  std::vector<Row> expected = MakeRows(500, "value-");
+  runtime::column::PartitionBlock block =
+      runtime::column::PartitionBlock::FromRows(schema, expected);
   runtime::spill::SpillCounters c;
-  Status s = m.SpillAndRestoreRows(1, "stage(x)", 0, &rows, &c);
+  Status s = m.SpillAndRestoreBlock(1, "stage(x)", 0, schema, &block, &c);
   ASSERT_TRUE(s.ok()) << s.ToString();
 
+  std::vector<Row> rows = block.ToRows();
   ASSERT_EQ(rows.size(), expected.size());
   for (size_t i = 0; i < rows.size(); ++i) {
     ASSERT_EQ(rows[i].fields.size(), expected[i].fields.size()) << i;
@@ -509,9 +511,11 @@ TEST(SpillManagerTest, ByteBudgetExhaustionNamesBudgetAndUsage) {
   cfg.dir = ::testing::TempDir();
   cfg.max_spill_bytes = 64;  // smaller than any real run
   runtime::spill::SpillManager m(cfg);
-  std::vector<Row> rows = MakeRows(100, "big-");
+  const runtime::Schema schema = MakeRowsSchema();
+  runtime::column::PartitionBlock block =
+      runtime::column::PartitionBlock::FromRows(schema, MakeRows(100, "big-"));
   runtime::spill::SpillCounters c;
-  Status s = m.SpillAndRestoreRows(2, "stage(y)", 0, &rows, &c);
+  Status s = m.SpillAndRestoreBlock(2, "stage(y)", 0, schema, &block, &c);
   ASSERT_FALSE(s.ok());
   EXPECT_TRUE(s.IsResourceExhausted()) << s.ToString();
   EXPECT_NE(s.ToString().find("spill byte budget exhausted"),
@@ -525,17 +529,19 @@ TEST(SpillManagerTest, RemoveRunReleasesBudget) {
   cfg.dir = ::testing::TempDir();
   cfg.max_spill_bytes = 16ull << 10;
   runtime::spill::SpillManager m(cfg);
-  std::vector<Row> rows = MakeRows(50, "r-");
+  runtime::column::PartitionBlock block =
+      runtime::column::PartitionBlock::FromRows(MakeRowsSchema(),
+                                                MakeRows(50, "r-"));
   runtime::spill::SpillCounters c;
   std::string path = m.RunPath(3, "budget", 0, 0);
-  ASSERT_TRUE(m.WriteRowsRun(path, rows, &c).ok());
+  ASSERT_TRUE(m.WriteBlockRun(path, block, &c).ok());
   EXPECT_GT(m.on_disk_bytes(), 0u);
   // A second identical run would fit or not — irrelevant; removing the first
   // must return the budget to zero either way.
   m.RemoveRun(path);
   EXPECT_EQ(m.on_disk_bytes(), 0u);
   // With the budget released the same run can be written again.
-  ASSERT_TRUE(m.WriteRowsRun(path, rows, &c).ok());
+  ASSERT_TRUE(m.WriteBlockRun(path, block, &c).ok());
   m.RemoveRun(path);
 }
 
