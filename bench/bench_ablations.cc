@@ -233,9 +233,9 @@ int main() {
       // rates; only the recovery columns grow.
       std::printf(
           "    faults=%llu retries=%llu recovery=%ss (sim unchanged)\n",
-          static_cast<unsigned long long>(r.injected_faults),
-          static_cast<unsigned long long>(r.retries),
-          FormatDouble(r.recovery_sim_s, 2).c_str());
+          static_cast<unsigned long long>(r.stats.injected_faults()),
+          static_cast<unsigned long long>(r.stats.retries()),
+          FormatDouble(r.stats.recovery_sim_seconds(), 2).c_str());
       rec(std::move(r));
     }
   }

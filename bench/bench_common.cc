@@ -110,25 +110,6 @@ RunResult TimedRun(const std::string& name, runtime::Cluster* cluster,
   r.shuffle_bytes = stats.total_shuffle_bytes();
   r.max_stage_shuffle = stats.max_stage_shuffle_bytes();
   r.peak_partition = stats.peak_partition_bytes();
-  r.fused_stages = stats.fused_stages();
-  r.intermediate_bytes_avoided = stats.intermediate_bytes_avoided();
-  r.injected_faults = stats.injected_faults();
-  r.retries = stats.retries();
-  r.recovery_sim_s = stats.recovery_sim_seconds();
-  r.key_encode_bytes = stats.key_encode_bytes();
-  r.hash_build_rows = stats.hash_build_rows();
-  r.hash_probe_hits = stats.hash_probe_hits();
-  r.hash_max_chain = stats.hash_max_chain();
-  r.hash_table_bytes = stats.hash_table_bytes();
-  r.hash_resizes = stats.hash_resizes();
-  r.hash_probe_len_max = stats.hash_probe_len_max();
-  r.columnar_bytes = stats.columnar_bytes();
-  r.column_to_row_conversions = stats.column_to_row_conversions();
-  r.spill_bytes_written = stats.spill_bytes_written();
-  r.spill_bytes_read = stats.spill_bytes_read();
-  r.spill_runs = stats.spill_runs();
-  r.spill_merge_passes = stats.spill_merge_passes();
-  r.spill_rowify_avoided = stats.spill_rowify_avoided();
   r.stats = stats;
   r.metrics = cluster->metrics().Snapshot();
   r.ok = st.ok();
@@ -228,43 +209,21 @@ Status WriteBenchReport(const std::string& bench_name,
     w.Key("peak_partition_bytes");
     w.Uint(r.peak_partition);
     w.Key("fused_stages");
-    w.Uint(r.fused_stages);
+    w.Uint(r.stats.fused_stages());
     w.Key("intermediate_bytes_avoided");
-    w.Uint(r.intermediate_bytes_avoided);
-    w.Key("injected_faults");
-    w.Uint(r.injected_faults);
-    w.Key("retries");
-    w.Uint(r.retries);
+    w.Uint(r.stats.intermediate_bytes_avoided());
+    // Counter-table totals; the fault rows lead, next to the recovery time.
+    auto write_counters = [&](bool faults) {
+      for (const runtime::CounterDesc& d : runtime::kStageCounters) {
+        if ((d.group == runtime::CounterGroup::kFault) != faults) continue;
+        w.Key(d.name);
+        w.Uint(r.stats.counters().*d.field);
+      }
+    };
+    write_counters(true);
     w.Key("recovery_sim_seconds");
-    w.Number(r.recovery_sim_s);
-    w.Key("key_encode_bytes");
-    w.Uint(r.key_encode_bytes);
-    w.Key("hash_build_rows");
-    w.Uint(r.hash_build_rows);
-    w.Key("hash_probe_hits");
-    w.Uint(r.hash_probe_hits);
-    w.Key("hash_max_chain");
-    w.Uint(r.hash_max_chain);
-    w.Key("hash_table_bytes");
-    w.Uint(r.hash_table_bytes);
-    w.Key("hash_resizes");
-    w.Uint(r.hash_resizes);
-    w.Key("hash_probe_len_max");
-    w.Uint(r.hash_probe_len_max);
-    w.Key("columnar_bytes");
-    w.Uint(r.columnar_bytes);
-    w.Key("column_to_row_conversions");
-    w.Uint(r.column_to_row_conversions);
-    w.Key("spill_bytes_written");
-    w.Uint(r.spill_bytes_written);
-    w.Key("spill_bytes_read");
-    w.Uint(r.spill_bytes_read);
-    w.Key("spill_runs");
-    w.Uint(r.spill_runs);
-    w.Key("spill_merge_passes");
-    w.Uint(r.spill_merge_passes);
-    w.Key("spill_rowify_avoided");
-    w.Uint(r.spill_rowify_avoided);
+    w.Number(r.stats.recovery_sim_seconds());
+    write_counters(false);
     w.Key("out_rows");
     w.Uint(r.out_rows);
     w.Key("job");

@@ -28,10 +28,13 @@
 #include <vector>
 
 #include "obs/json.h"
+#include "runtime/stage_counters.h"
 
 namespace {
 
 using trance::obs::JsonValue;
+using trance::runtime::CounterDesc;
+using Policy = trance::runtime::DiffPolicy;
 
 struct DiffState {
   int hard_failures = 0;
@@ -68,21 +71,13 @@ const JsonValue* FindRun(const JsonValue& runs, const std::string& name) {
   return nullptr;
 }
 
-/// How one per-run scalar is compared.
-enum class Policy {
-  kExact,     // deterministic invariant: any difference hard-fails
-  kSimTime,   // deterministic double: hard-fail outside 1e-9 relative
-  kWallSoft,  // wall clock: warn only, and only when slower than
-              // baseline * max_wall_ratio
-  kInfo,      // machine-dependent (thread budget): never compared
-};
-
 struct ScalarRule {
   const char* key;
   Policy policy;
 };
 
-// Every scalar WriteBenchReport emits for a run. Keys absent from both
+// Every scalar WriteBenchReport emits for a run besides the counter-table
+// rows, which DiffRun compares by their table policy. Keys absent from both
 // reports are skipped (e.g. fail_reason on ok runs, speedup fields on
 // baseline-less reports).
 const ScalarRule kScalarRules[] = {
@@ -93,22 +88,6 @@ const ScalarRule kScalarRules[] = {
     {"peak_partition_bytes", Policy::kExact},
     {"fused_stages", Policy::kExact},
     {"intermediate_bytes_avoided", Policy::kExact},
-    {"injected_faults", Policy::kExact},
-    {"retries", Policy::kExact},
-    {"key_encode_bytes", Policy::kExact},
-    {"hash_build_rows", Policy::kExact},
-    {"hash_probe_hits", Policy::kExact},
-    {"hash_max_chain", Policy::kExact},
-    {"hash_table_bytes", Policy::kExact},
-    {"hash_resizes", Policy::kExact},
-    {"hash_probe_len_max", Policy::kExact},
-    {"columnar_bytes", Policy::kExact},
-    {"column_to_row_conversions", Policy::kExact},
-    {"spill_bytes_written", Policy::kExact},
-    {"spill_bytes_read", Policy::kExact},
-    {"spill_runs", Policy::kExact},
-    {"spill_merge_passes", Policy::kExact},
-    {"spill_rowify_avoided", Policy::kExact},
     {"sim_seconds", Policy::kSimTime},
     {"recovery_sim_seconds", Policy::kSimTime},
     {"wall_seconds", Policy::kWallSoft},
@@ -198,6 +177,9 @@ void DiffRun(DiffState* st, const std::string& name, const JsonValue& base,
   for (const ScalarRule& rule : kScalarRules) {
     DiffScalar(st, name, rule.key, rule.policy, base.Find(rule.key),
                cand.Find(rule.key));
+  }
+  for (const CounterDesc& d : trance::runtime::kStageCounters) {
+    DiffScalar(st, name, d.name, d.diff, base.Find(d.name), cand.Find(d.name));
   }
   const JsonValue* bm = base.Find("metrics");
   const JsonValue* cm = cand.Find("metrics");

@@ -33,7 +33,7 @@ int main() {
     uint64_t spill_runs = 0;
     bool any_ok = false;
     for (const auto& r : results) {
-      spill_runs += r.spill_runs;
+      spill_runs += r.stats.spill_runs();
       any_ok = any_ok || r.ok;
     }
     TRANCE_CHECK(any_ok, "forced-spill smoke: every run failed");

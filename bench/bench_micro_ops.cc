@@ -638,9 +638,9 @@ Status RunColumnarAblation() {
   }
   for (const bench::RunResult& r : results) {
     TRANCE_CHECK(r.ok, "columnar pass run failed: " + r.name);
-    TRANCE_CHECK(r.columnar_bytes > 0, "columnar pass: no blocks built in " +
-                                           r.name);
-    TRANCE_CHECK(r.column_to_row_conversions == 0,
+    TRANCE_CHECK(r.stats.columnar_bytes() > 0,
+                 "columnar pass: no blocks built in " + r.name);
+    TRANCE_CHECK(r.stats.column_to_row_conversions() == 0,
                  "columnar pass: block rows converted in " + r.name);
   }
 
@@ -724,8 +724,9 @@ Status RunResidentAblation() {
         });
     r.out_rows = rows;
     TRANCE_CHECK(r.ok, "resident pass run failed");
-    TRANCE_CHECK(r.columnar_bytes > 0, "resident pass: no blocks built");
-    TRANCE_CHECK(r.column_to_row_conversions == 0,
+    TRANCE_CHECK(r.stats.columnar_bytes() > 0,
+                 "resident pass: no blocks built");
+    TRANCE_CHECK(r.stats.column_to_row_conversions() == 0,
                  "resident pass: block-resident chain converted rows");
     results.push_back(std::move(r));
   }
@@ -812,17 +813,19 @@ Status RunSpillAblation() {
                  "spill ablation: movement stats differ for " + forced.name);
     TRANCE_CHECK(forced.sim_s == off.sim_s,
                  "spill ablation: sim time differs for " + forced.name);
-    TRANCE_CHECK(forced.key_encode_bytes == off.key_encode_bytes &&
-                     forced.hash_build_rows == off.hash_build_rows &&
-                     forced.hash_probe_hits == off.hash_probe_hits &&
-                     forced.hash_max_chain == off.hash_max_chain,
+    const runtime::JobStats& fs = forced.stats;
+    const runtime::JobStats& os = off.stats;
+    TRANCE_CHECK(fs.key_encode_bytes() == os.key_encode_bytes() &&
+                     fs.hash_build_rows() == os.hash_build_rows() &&
+                     fs.hash_probe_hits() == os.hash_probe_hits() &&
+                     fs.hash_max_chain() == os.hash_max_chain(),
                  "spill ablation: keyed counters differ for " + forced.name);
-    TRANCE_CHECK(forced.spill_runs > 0 && forced.spill_bytes_written > 0,
+    TRANCE_CHECK(fs.spill_runs() > 0 && fs.spill_bytes_written() > 0,
                  "spill ablation: nothing spilled in " + forced.name);
-    TRANCE_CHECK(forced.spill_bytes_read == forced.spill_bytes_written,
+    TRANCE_CHECK(fs.spill_bytes_read() == fs.spill_bytes_written(),
                  "spill ablation: restore did not stream every spilled byte");
-    TRANCE_CHECK(off.spill_bytes_written == 0 && off.spill_bytes_read == 0 &&
-                     off.spill_runs == 0 && off.spill_merge_passes == 0,
+    TRANCE_CHECK(os.spill_bytes_written() == 0 && os.spill_bytes_read() == 0 &&
+                     os.spill_runs() == 0 && os.spill_merge_passes() == 0,
                  "spill ablation: counters leak into " + off.name);
   }
 

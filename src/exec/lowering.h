@@ -45,9 +45,9 @@ struct ExecOptions {
   /// behavior, kept under `false` for ablations and paper-faithful FAIL
   /// cells. Rows, placement, shuffle bytes, and all pre-existing stats are
   /// bit-identical between a capped spilling run and an uncapped run
-  /// (tests/spill_test.cc); only the spill-only counters
-  /// (spill_bytes_written/spill_bytes_read/spill_runs/spill_merge_passes)
-  /// differ (exactly 0 when off or when nothing spills).
+  /// (tests/spill_test.cc); only the spill group of the counter table
+  /// (runtime/stage_counters.h) differs (exactly 0 when off or when nothing
+  /// spills).
   bool enable_spill = true;
 };
 

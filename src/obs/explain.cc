@@ -1,5 +1,6 @@
 #include "obs/explain.h"
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <sstream>
@@ -50,163 +51,31 @@ struct NodeStats {
   uint64_t rows_out() const {
     return entries.empty() ? 0 : entries.back().rows_out();
   }
-  uint64_t shuffle_bytes() const {
-    uint64_t s = 0;
-    for (const auto& e : entries) {
-      if (e.owns_stage) s += e.stage->shuffle_bytes;
-    }
-    return s;
-  }
-  uint64_t bytes_avoided() const {
-    uint64_t s = 0;
-    for (const auto& e : entries) {
-      if (e.owns_stage) s += e.stage->intermediate_bytes_avoided;
-    }
-    return s;
-  }
-  double sim_seconds() const {
-    double s = 0;
-    for (const auto& e : entries) {
-      if (e.owns_stage) s += e.stage->sim_seconds;
-    }
-    return s;
-  }
-  double straggler() const {
-    double worst = 1.0;
+  /// The owning stages' quantities, folded (counter-table rows per their
+  /// fold; the straggler factor is the worst stage's).
+  struct Totals {
+    runtime::StageCounters counters;
+    uint64_t shuffle_bytes = 0;
+    uint64_t bytes_avoided = 0;
+    uint64_t heavy_keys = 0;
+    double straggler = 1.0;
+    double sim_seconds = 0;
+    double recovery_sim_seconds = 0;
+  };
+  Totals totals() const {
+    Totals t;
     for (const auto& e : entries) {
       if (!e.owns_stage) continue;
-      double f = e.stage->ImbalanceFactor();
-      if (f > worst) worst = f;
+      const StageStats& s = *e.stage;
+      t.counters.Merge(s);
+      t.shuffle_bytes += s.shuffle_bytes;
+      t.bytes_avoided += s.intermediate_bytes_avoided;
+      t.heavy_keys += s.heavy_key_count;
+      t.straggler = std::max(t.straggler, s.ImbalanceFactor());
+      t.sim_seconds += s.sim_seconds;
+      t.recovery_sim_seconds += s.recovery_sim_seconds;
     }
-    return worst;
-  }
-  uint64_t heavy_keys() const {
-    uint64_t n = 0;
-    for (const auto& e : entries) {
-      if (e.owns_stage) n += e.stage->heavy_key_count;
-    }
-    return n;
-  }
-  uint64_t key_encode_bytes() const {
-    uint64_t n = 0;
-    for (const auto& e : entries) {
-      if (e.owns_stage) n += e.stage->key_encode_bytes;
-    }
-    return n;
-  }
-  uint64_t hash_build_rows() const {
-    uint64_t n = 0;
-    for (const auto& e : entries) {
-      if (e.owns_stage) n += e.stage->hash_build_rows;
-    }
-    return n;
-  }
-  uint64_t hash_probe_hits() const {
-    uint64_t n = 0;
-    for (const auto& e : entries) {
-      if (e.owns_stage) n += e.stage->hash_probe_hits;
-    }
-    return n;
-  }
-  uint64_t hash_max_chain() const {
-    uint64_t n = 0;
-    for (const auto& e : entries) {
-      if (e.owns_stage && e.stage->hash_max_chain > n) n = e.stage->hash_max_chain;
-    }
-    return n;
-  }
-  uint64_t hash_table_bytes() const {
-    uint64_t n = 0;
-    for (const auto& e : entries) {
-      if (e.owns_stage) n += e.stage->hash_table_bytes;
-    }
-    return n;
-  }
-  uint64_t hash_resizes() const {
-    uint64_t n = 0;
-    for (const auto& e : entries) {
-      if (e.owns_stage) n += e.stage->hash_resizes;
-    }
-    return n;
-  }
-  uint64_t hash_probe_len_max() const {
-    uint64_t n = 0;
-    for (const auto& e : entries) {
-      if (e.owns_stage && e.stage->hash_probe_len_max > n) {
-        n = e.stage->hash_probe_len_max;
-      }
-    }
-    return n;
-  }
-  uint64_t columnar_bytes() const {
-    uint64_t n = 0;
-    for (const auto& e : entries) {
-      if (e.owns_stage) n += e.stage->columnar_bytes;
-    }
-    return n;
-  }
-  uint64_t column_to_row_conversions() const {
-    uint64_t n = 0;
-    for (const auto& e : entries) {
-      if (e.owns_stage) n += e.stage->column_to_row_conversions;
-    }
-    return n;
-  }
-  uint64_t spill_bytes_written() const {
-    uint64_t n = 0;
-    for (const auto& e : entries) {
-      if (e.owns_stage) n += e.stage->spill_bytes_written;
-    }
-    return n;
-  }
-  uint64_t spill_bytes_read() const {
-    uint64_t n = 0;
-    for (const auto& e : entries) {
-      if (e.owns_stage) n += e.stage->spill_bytes_read;
-    }
-    return n;
-  }
-  uint64_t spill_runs() const {
-    uint64_t n = 0;
-    for (const auto& e : entries) {
-      if (e.owns_stage) n += e.stage->spill_runs;
-    }
-    return n;
-  }
-  uint64_t spill_merge_passes() const {
-    uint64_t n = 0;
-    for (const auto& e : entries) {
-      if (e.owns_stage) n += e.stage->spill_merge_passes;
-    }
-    return n;
-  }
-  uint64_t spill_rowify_avoided() const {
-    uint64_t n = 0;
-    for (const auto& e : entries) {
-      if (e.owns_stage) n += e.stage->spill_rowify_avoided;
-    }
-    return n;
-  }
-  uint64_t injected_faults() const {
-    uint64_t n = 0;
-    for (const auto& e : entries) {
-      if (e.owns_stage) n += e.stage->injected_faults;
-    }
-    return n;
-  }
-  uint64_t retries() const {
-    uint64_t n = 0;
-    for (const auto& e : entries) {
-      if (e.owns_stage) n += e.stage->retries;
-    }
-    return n;
-  }
-  double recovery_sim_seconds() const {
-    double s = 0;
-    for (const auto& e : entries) {
-      if (e.owns_stage) s += e.stage->recovery_sim_seconds;
-    }
-    return s;
+    return t;
   }
   /// Movement modes used, deduplicated, in first-use order.
   std::string movements() const {
@@ -233,6 +102,31 @@ struct NodeStats {
   }
 };
 
+/// The counter-table clauses — ht(...), flat(...), key_bytes=, col(...),
+/// spill(...) — each printed when one of its group's counters is nonzero.
+void AppendCounterClauses(const runtime::StageCounters& c,
+                          std::ostringstream* os) {
+  const auto live = runtime::LiveGroups(c);
+  for (size_t g = 0; g < runtime::kNumCounterGroups; ++g) {
+    const char* clause = runtime::kCounterGroupClause[g];
+    if (clause == nullptr || !live[g]) continue;
+    const bool bare = *clause == '\0';
+    if (!bare) *os << " " << clause << "(";
+    bool first = true;
+    for (const runtime::CounterDesc& d : runtime::kStageCounters) {
+      if (static_cast<size_t>(d.group) != g) continue;
+      const uint64_t v = c.*d.field;
+      if (d.show == runtime::ExplainShow::kCountIfNonzero && v == 0) continue;
+      if (bare || !first) *os << " ";
+      *os << d.label << "="
+          << (d.show == runtime::ExplainShow::kBytes ? FormatBytes(v)
+                                                     : std::to_string(v));
+      first = false;
+    }
+    if (!bare) *os << ")";
+  }
+}
+
 std::string StatsSuffix(const NodeStats& ns) {
   if (ns.empty()) return "  [no stages recorded]";
   if (ns.fused_only()) {
@@ -242,51 +136,28 @@ std::string StatsSuffix(const NodeStats& ns) {
     os << "  [rows=" << ns.rows_out() << " fused]";
     return os.str();
   }
+  const NodeStats::Totals t = ns.totals();
   std::ostringstream os;
   os << "  [rows=" << ns.rows_out()
-     << " shuffle=" << FormatBytes(ns.shuffle_bytes())
+     << " shuffle=" << FormatBytes(t.shuffle_bytes)
      << " mode=" << ns.movements()
-     << " straggler=" << FormatDouble(ns.straggler(), 2) << "x";
+     << " straggler=" << FormatDouble(t.straggler, 2) << "x";
   if (const std::vector<uint64_t>* work = ns.dominant_work()) {
     LoadSummary ls = SummarizeLoads(*work);
     os << " work(p50/p95/max)=" << FormatBytes(ls.p50) << "/"
        << FormatBytes(ls.p95) << "/" << FormatBytes(ls.max);
   }
-  if (ns.heavy_keys() > 0) os << " heavy_keys=" << ns.heavy_keys();
-  if (ns.hash_build_rows() > 0 || ns.hash_probe_hits() > 0) {
-    os << " ht(build=" << ns.hash_build_rows()
-       << " hits=" << ns.hash_probe_hits()
-       << " chain=" << ns.hash_max_chain() << ")";
+  if (t.heavy_keys > 0) os << " heavy_keys=" << t.heavy_keys;
+  AppendCounterClauses(t.counters, &os);
+  if (t.bytes_avoided > 0) {
+    os << " avoided=" << FormatBytes(t.bytes_avoided);
   }
-  if (ns.hash_table_bytes() > 0) {
-    os << " flat(tbl=" << FormatBytes(ns.hash_table_bytes())
-       << " resizes=" << ns.hash_resizes()
-       << " probe=" << ns.hash_probe_len_max() << ")";
+  if (t.counters.injected_faults > 0) {
+    os << " faults=" << t.counters.injected_faults
+       << " retries=" << t.counters.retries
+       << " recovery=" << FormatDouble(t.recovery_sim_seconds, 3) << "s";
   }
-  if (ns.key_encode_bytes() > 0) {
-    os << " key_bytes=" << FormatBytes(ns.key_encode_bytes());
-  }
-  if (ns.columnar_bytes() > 0) {
-    os << " col(blocks=" << FormatBytes(ns.columnar_bytes())
-       << " rowify=" << ns.column_to_row_conversions() << ")";
-  }
-  if (ns.spill_bytes_written() > 0) {
-    os << " spill(w=" << FormatBytes(ns.spill_bytes_written())
-       << " r=" << FormatBytes(ns.spill_bytes_read())
-       << " runs=" << ns.spill_runs() << " merges=" << ns.spill_merge_passes();
-    if (ns.spill_rowify_avoided() > 0) {
-      os << " rowify_avoided=" << ns.spill_rowify_avoided();
-    }
-    os << ")";
-  }
-  if (ns.bytes_avoided() > 0) {
-    os << " avoided=" << FormatBytes(ns.bytes_avoided());
-  }
-  if (ns.injected_faults() > 0) {
-    os << " faults=" << ns.injected_faults() << " retries=" << ns.retries()
-       << " recovery=" << FormatDouble(ns.recovery_sim_seconds(), 3) << "s";
-  }
-  os << " sim=" << FormatDouble(ns.sim_seconds(), 3) << "s]";
+  os << " sim=" << FormatDouble(t.sim_seconds, 3) << "s]";
   return os.str();
 }
 
@@ -382,33 +253,7 @@ std::string ExplainAnalyze(const plan::PlanProgram& program,
      << " straggler=" << FormatDouble(sk.worst_imbalance, 2) << "x"
      << (sk.worst_stage.empty() ? "" : "@" + sk.worst_stage)
      << " heavy_keys=" << sk.heavy_key_count;
-  if (stats.hash_build_rows() > 0 || stats.hash_probe_hits() > 0) {
-    os << " ht(build=" << stats.hash_build_rows()
-       << " hits=" << stats.hash_probe_hits()
-       << " chain=" << stats.hash_max_chain() << ")";
-  }
-  if (stats.hash_table_bytes() > 0) {
-    os << " flat(tbl=" << FormatBytes(stats.hash_table_bytes())
-       << " resizes=" << stats.hash_resizes()
-       << " probe=" << stats.hash_probe_len_max() << ")";
-  }
-  if (stats.key_encode_bytes() > 0) {
-    os << " key_bytes=" << FormatBytes(stats.key_encode_bytes());
-  }
-  if (stats.columnar_bytes() > 0) {
-    os << " col(blocks=" << FormatBytes(stats.columnar_bytes())
-       << " rowify=" << stats.column_to_row_conversions() << ")";
-  }
-  if (stats.spill_bytes_written() > 0) {
-    os << " spill(w=" << FormatBytes(stats.spill_bytes_written())
-       << " r=" << FormatBytes(stats.spill_bytes_read())
-       << " runs=" << stats.spill_runs()
-       << " merges=" << stats.spill_merge_passes();
-    if (stats.spill_rowify_avoided() > 0) {
-      os << " rowify_avoided=" << stats.spill_rowify_avoided();
-    }
-    os << ")";
-  }
+  AppendCounterClauses(stats.counters(), &os);
   if (stats.injected_faults() > 0) {
     os << " injected_faults=" << stats.injected_faults()
        << " retries=" << stats.retries()

@@ -35,6 +35,17 @@ void WriteLoadSummary(const char* key, const std::vector<uint64_t>& loads,
   w->EndObject();
 }
 
+/// The stage's counter-table fields, in table order, for every group with a
+/// nonzero counter (quiet groups are omitted to keep reports small).
+void WriteLiveCounters(const runtime::StageCounters& c, JsonWriter* w) {
+  const auto live = runtime::LiveGroups(c);
+  for (const runtime::CounterDesc& d : runtime::kStageCounters) {
+    if (!live[static_cast<size_t>(d.group)]) continue;
+    w->Key(d.name);
+    w->Uint(c.*d.field);
+  }
+}
+
 }  // namespace
 
 void WriteJobStats(const runtime::JobStats& stats, JsonWriter* w) {
@@ -91,49 +102,8 @@ void WriteJobStats(const runtime::JobStats& stats, JsonWriter* w) {
       w->Key("intermediate_bytes_avoided");
       w->Uint(s.intermediate_bytes_avoided);
     }
-    if (s.key_encode_bytes > 0) {
-      w->Key("key_encode_bytes");
-      w->Uint(s.key_encode_bytes);
-    }
-    if (s.hash_build_rows > 0 || s.hash_probe_hits > 0) {
-      w->Key("hash_build_rows");
-      w->Uint(s.hash_build_rows);
-      w->Key("hash_probe_hits");
-      w->Uint(s.hash_probe_hits);
-      w->Key("hash_max_chain");
-      w->Uint(s.hash_max_chain);
-    }
-    if (s.hash_table_bytes > 0 || s.hash_resizes > 0) {
-      w->Key("hash_table_bytes");
-      w->Uint(s.hash_table_bytes);
-      w->Key("hash_resizes");
-      w->Uint(s.hash_resizes);
-      w->Key("hash_probe_len_max");
-      w->Uint(s.hash_probe_len_max);
-    }
-    if (s.columnar_bytes > 0 || s.column_to_row_conversions > 0) {
-      w->Key("columnar_bytes");
-      w->Uint(s.columnar_bytes);
-      w->Key("column_to_row_conversions");
-      w->Uint(s.column_to_row_conversions);
-    }
-    if (s.spill_bytes_written > 0 || s.spill_runs > 0) {
-      w->Key("spill_bytes_written");
-      w->Uint(s.spill_bytes_written);
-      w->Key("spill_bytes_read");
-      w->Uint(s.spill_bytes_read);
-      w->Key("spill_runs");
-      w->Uint(s.spill_runs);
-      w->Key("spill_merge_passes");
-      w->Uint(s.spill_merge_passes);
-      w->Key("spill_rowify_avoided");
-      w->Uint(s.spill_rowify_avoided);
-    }
+    WriteLiveCounters(s, w);
     if (s.injected_faults > 0) {
-      w->Key("injected_faults");
-      w->Uint(s.injected_faults);
-      w->Key("retries");
-      w->Uint(s.retries);
       w->Key("recovery_sim_seconds");
       w->Number(s.recovery_sim_seconds);
       w->Key("fault_events");
@@ -186,38 +156,10 @@ void WriteJobStats(const runtime::JobStats& stats, JsonWriter* w) {
   w->String(sk.worst_stage);
   w->Key("heavy_key_count");
   w->Uint(sk.heavy_key_count);
-  w->Key("key_encode_bytes");
-  w->Uint(stats.key_encode_bytes());
-  w->Key("hash_build_rows");
-  w->Uint(stats.hash_build_rows());
-  w->Key("hash_probe_hits");
-  w->Uint(stats.hash_probe_hits());
-  w->Key("hash_max_chain");
-  w->Uint(stats.hash_max_chain());
-  w->Key("hash_table_bytes");
-  w->Uint(stats.hash_table_bytes());
-  w->Key("hash_resizes");
-  w->Uint(stats.hash_resizes());
-  w->Key("hash_probe_len_max");
-  w->Uint(stats.hash_probe_len_max());
-  w->Key("columnar_bytes");
-  w->Uint(stats.columnar_bytes());
-  w->Key("column_to_row_conversions");
-  w->Uint(stats.column_to_row_conversions());
-  w->Key("spill_bytes_written");
-  w->Uint(stats.spill_bytes_written());
-  w->Key("spill_bytes_read");
-  w->Uint(stats.spill_bytes_read());
-  w->Key("spill_runs");
-  w->Uint(stats.spill_runs());
-  w->Key("spill_merge_passes");
-  w->Uint(stats.spill_merge_passes());
-  w->Key("spill_rowify_avoided");
-  w->Uint(stats.spill_rowify_avoided());
-  w->Key("injected_faults");
-  w->Uint(stats.injected_faults());
-  w->Key("retries");
-  w->Uint(stats.retries());
+  for (const runtime::CounterDesc& d : runtime::kStageCounters) {
+    w->Key(d.name);
+    w->Uint(stats.counters().*d.field);
+  }
   w->Key("recovery_sim_seconds");
   w->Number(stats.recovery_sim_seconds());
   w->Key("sim_seconds");

@@ -44,10 +44,11 @@ void Cluster::RecordStage(StageStats s) {
 
 void Cluster::PublishStage(size_t stage_index, const StageStats& s) {
   // Registry half: every JobStats total the stage contributes also lands in
-  // the metric registry, from this one site. Integer quantities are
-  // counters; maxima are SetMax gauges; accumulated sim-time is an Add
-  // gauge (driver-sequential here, so the floating-point order — and hence
-  // the value — is deterministic).
+  // the metric registry, from this one site — the counter-table rows from
+  // their row (except the fault rows, which RunRecoverableTasks publishes).
+  // Integer quantities are counters; maxima are SetMax gauges; accumulated
+  // sim-time is an Add gauge (driver-sequential here, so the floating-point
+  // order — and hence the value — is deterministic).
   metrics_
       .GetCounter("trance_stages_total", "stages recorded, by data movement",
                   {{"movement", DataMovementName(s.movement)}})
@@ -65,62 +66,15 @@ void Cluster::PublishStage(size_t stage_index, const StageStats& s) {
   metrics_
       .GetCounter("trance_heavy_keys_total", "keys flagged by the skew sampler")
       ->Add(s.heavy_key_count);
-  metrics_
-      .GetCounter("trance_key_encode_bytes_total",
-                  "binary key bytes produced by the key codec")
-      ->Add(s.key_encode_bytes);
-  metrics_
-      .GetCounter("trance_hash_build_rows_total",
-                  "rows inserted into keyed hash structures")
-      ->Add(s.hash_build_rows);
-  metrics_
-      .GetCounter("trance_hash_probe_hits_total",
-                  "keyed lookups that found an existing key")
-      ->Add(s.hash_probe_hits);
-  metrics_
-      .GetGauge("trance_hash_max_chain",
-                "max input rows mapped to a single key")
-      ->SetMax(static_cast<double>(s.hash_max_chain));
-  metrics_
-      .GetCounter("trance_hash_table_bytes_total",
-                  "flat hash-table footprint built by keyed operators")
-      ->Add(s.hash_table_bytes);
-  metrics_
-      .GetCounter("trance_hash_resizes_total",
-                  "flat hash-table slot-array doublings")
-      ->Add(s.hash_resizes);
-  metrics_
-      .GetGauge("trance_hash_probe_len_max",
-                "longest open-addressing probe sequence")
-      ->SetMax(static_cast<double>(s.hash_probe_len_max));
-  metrics_
-      .GetCounter("trance_columnar_bytes_total",
-                  "typed partition-block footprint built by operators")
-      ->Add(s.columnar_bytes);
-  metrics_
-      .GetCounter("trance_column_to_row_conversions_total",
-                  "rows materialized out of typed partition blocks")
-      ->Add(s.column_to_row_conversions);
-  metrics_
-      .GetCounter("trance_spill_bytes_written_total",
-                  "bytes written to spill run files")
-      ->Add(s.spill_bytes_written);
-  metrics_
-      .GetCounter("trance_spill_bytes_read_total",
-                  "bytes streamed back from spill run files")
-      ->Add(s.spill_bytes_read);
-  metrics_
-      .GetCounter("trance_spill_runs_total", "spill run files produced")
-      ->Add(s.spill_runs);
-  metrics_
-      .GetCounter("trance_spill_merge_passes_total",
-                  "stream-merge passes over spill runs")
-      ->Add(s.spill_merge_passes);
-  metrics_
-      .GetCounter("trance_spill_rowify_avoided_total",
-                  "rows restored from columnar spill records without "
-                  "row-form conversion")
-      ->Add(s.spill_rowify_avoided);
+  for (const CounterDesc& d : kStageCounters) {
+    if (d.publish != CounterPublish::kStage) continue;
+    if (d.fold == CounterFold::kSum) {
+      metrics_.GetCounter(d.series, d.help)->Add(s.*d.field);
+    } else {
+      metrics_.GetGauge(d.series, d.help)
+          ->SetMax(static_cast<double>(s.*d.field));
+    }
+  }
   metrics_
       .GetGauge("trance_max_stage_shuffle_bytes",
                 "largest single-stage shuffle")
@@ -334,10 +288,8 @@ Status Cluster::RunRecoverableTasks(const std::string& stage_name, size_t n,
         ", retry budget " + std::to_string(budget) + ")");
   }
   stage->retries += total;  // every injected fault was followed by a retry
-  metrics_
-      .GetCounter("trance_task_retries_total",
-                  "task re-executions performed by fault recovery")
-      ->Add(total);
+  const CounterDesc& retries = CounterDescOf(CounterId::retries);
+  metrics_.GetCounter(retries.series, retries.help)->Add(total);
   return Status::OK();
 }
 

@@ -187,9 +187,9 @@ class Cluster {
   /// ResourceExhausted — the historical FAIL behavior. Set by the executor
   /// from ExecOptions::enable_spill; results, placement, and every
   /// pre-existing stat are bit-identical between a capped spilling run and
-  /// an uncapped run (tests/spill_test.cc) — only the spill-only counters
-  /// (spill_bytes_written / spill_bytes_read / spill_runs /
-  /// spill_merge_passes) differ (0 when off or when nothing spills).
+  /// an uncapped run (tests/spill_test.cc) — only the spill group of the
+  /// counter table (runtime/stage_counters.h) differs (0 when off or when
+  /// nothing spills).
   bool spill_enabled() const { return spill_enabled_; }
   void set_spill_enabled(bool on) { spill_enabled_ = on; }
 

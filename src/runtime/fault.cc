@@ -1,16 +1,15 @@
 #include "runtime/fault.h"
 
 #include "obs/metrics.h"
+#include "runtime/stage_counters.h"
 #include "util/hash.h"
 
 namespace trance {
 namespace runtime {
 
 void PublishFaultInjected(obs::MetricRegistry* metrics, FaultKind kind) {
-  metrics
-      ->GetCounter("trance_faults_injected_total",
-                   "faults injected by the seeded injector, by kind",
-                   {{"kind", FaultKindName(kind)}})
+  const CounterDesc& d = CounterDescOf(CounterId::injected_faults);
+  metrics->GetCounter(d.series, d.help, {{"kind", FaultKindName(kind)}})
       ->Increment();
 }
 

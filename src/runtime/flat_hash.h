@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "runtime/key_codec.h"
+#include "runtime/stage_counters.h"
 #include "util/hash.h"
 
 namespace trance {
@@ -184,14 +185,14 @@ class FlatKeyIndex {
   mutable uint64_t max_probe_ = 0;
 };
 
-/// Folds one finished table's telemetry into a task's KeyStats slot (summed
+/// Folds one finished table's telemetry into a task's counter slot (folded
 /// per partition in slot order after the stage barrier, like every keyed
 /// counter).
-inline void NoteTableStats(const FlatKeyIndex& idx, key_codec::KeyStats* ks) {
-  ks->table_bytes += idx.table_bytes();
-  ks->resizes += idx.resizes();
-  if (idx.max_probe_len() > ks->probe_len_max) {
-    ks->probe_len_max = idx.max_probe_len();
+inline void NoteTableStats(const FlatKeyIndex& idx, StageCounters* ks) {
+  ks->hash_table_bytes += idx.table_bytes();
+  ks->hash_resizes += idx.resizes();
+  if (idx.max_probe_len() > ks->hash_probe_len_max) {
+    ks->hash_probe_len_max = idx.max_probe_len();
   }
 }
 

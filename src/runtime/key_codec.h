@@ -61,30 +61,6 @@ inline EncodedKey Materialize(const EncodedKeyView& v) {
   return EncodedKey{v.hash, std::string(v.bytes)};
 }
 
-/// Hash-table telemetry of one keyed phase, merged per partition in slot
-/// order after the stage barrier (so the stage totals are thread-count
-/// invariant, like every other stat).
-struct KeyStats {
-  uint64_t encode_bytes = 0;  // bytes of encoded keys produced
-  uint64_t build_rows = 0;    // rows inserted into keyed hash structures
-  uint64_t probe_hits = 0;    // lookups that found an existing key
-  uint64_t max_chain = 0;     // max input rows mapped onto a single key
-  /// Flat-table telemetry (runtime/flat_hash.h).
-  uint64_t table_bytes = 0;    // slot array + arena footprint of flat tables
-  uint64_t resizes = 0;        // flat-table slot-array doublings
-  uint64_t probe_len_max = 0;  // longest open-addressing probe sequence
-
-  void Merge(const KeyStats& o) {
-    encode_bytes += o.encode_bytes;
-    build_rows += o.build_rows;
-    probe_hits += o.probe_hits;
-    if (o.max_chain > max_chain) max_chain = o.max_chain;
-    table_bytes += o.table_bytes;
-    resizes += o.resizes;
-    if (o.probe_len_max > probe_len_max) probe_len_max = o.probe_len_max;
-  }
-};
-
 /// Encodes projected keys into a reusable scratch buffer. One encoder per
 /// task/thread; not thread-safe. Tracks the cumulative bytes it encoded
 /// (the stage's key_encode_bytes counter).

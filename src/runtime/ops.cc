@@ -45,26 +45,14 @@ class WorkMeter {
 class KeyStatsMeter {
  public:
   explicit KeyStatsMeter(size_t parts) : slots_(parts) {}
-  key_codec::KeyStats& slot(size_t p) { return slots_[p]; }
-  void Reset(size_t p) { slots_[p] = key_codec::KeyStats{}; }
+  StageCounters& slot(size_t p) { return slots_[p]; }
+  void Reset(size_t p) { slots_[p] = StageCounters{}; }
   void Finalize(StageStats* s) const {
-    key_codec::KeyStats total;
-    for (const auto& k : slots_) total.Merge(k);
-    s->key_encode_bytes += total.encode_bytes;
-    s->hash_build_rows += total.build_rows;
-    s->hash_probe_hits += total.probe_hits;
-    if (total.max_chain > s->hash_max_chain) {
-      s->hash_max_chain = total.max_chain;
-    }
-    s->hash_table_bytes += total.table_bytes;
-    s->hash_resizes += total.resizes;
-    if (total.probe_len_max > s->hash_probe_len_max) {
-      s->hash_probe_len_max = total.probe_len_max;
-    }
+    for (const StageCounters& k : slots_) s->Merge(k);
   }
 
  private:
-  std::vector<key_codec::KeyStats> slots_;
+  std::vector<StageCounters> slots_;
 };
 
 /// Returns the first non-OK per-partition task error in partition order (so
@@ -74,32 +62,6 @@ Status FirstError(const std::vector<Status>& errs) {
     if (!e.ok()) return e;
   }
   return Status::OK();
-}
-
-/// Folds one partition's spill telemetry into the stage and emits its spill
-/// event. Driver-side only (post-barrier or sequential loops), in partition
-/// order, so spill counters and the event sequence are thread-count-invariant.
-void NoteSpill(Cluster* cluster, StageStats* stage, const std::string& op,
-               size_t partition, uint64_t partition_bytes,
-               const spill::SpillCounters& c) {
-  stage->spill_bytes_written += c.bytes_written;
-  stage->spill_bytes_read += c.bytes_read;
-  stage->spill_runs += c.runs;
-  stage->spill_merge_passes += c.merge_passes;
-  stage->spill_rowify_avoided += c.rowify_avoided;
-  obs::EventLog& log = obs::GlobalEventLog();
-  if (!log.enabled()) return;
-  obs::Event(&log, "spill")
-      .U64("job", cluster->current_job_id())
-      .Str("op", op)
-      .U64("partition", partition)
-      .U64("partition_bytes", partition_bytes)
-      .U64("bytes_written", c.bytes_written)
-      .U64("bytes_read", c.bytes_read)
-      .U64("runs", c.runs)
-      .U64("merge_passes", c.merge_passes)
-      .U64("rowify_avoided", c.rowify_avoided)
-      .Emit();
 }
 
 /// Accumulates `add` into `into[i]`, growing the histogram on first use (a
@@ -287,8 +249,8 @@ StatusOr<ShuffledParts> ShuffleByKey(Cluster* cluster, const Dataset& in,
   TRANCE_RETURN_NOT_OK(FirstError(spill_errs));
   for (size_t t = 0; t < n; ++t) {
     if (spill_slots[t].runs == 0 && spill_slots[t].merge_passes == 0) continue;
-    NoteSpill(cluster, stage, stage->op + ".shuffle_fetch", t, out.bytes[t],
-              spill_slots[t]);
+    detail::NoteSpill(cluster, stage, stage->op + ".shuffle_fetch", t,
+                      out.bytes[t], spill_slots[t]);
   }
   for (uint64_t b : map_col_bytes) stage->columnar_bytes += b;
   for (uint64_t b : fetch_col_bytes) stage->columnar_bytes += b;
@@ -345,8 +307,8 @@ StatusOr<ShuffledParts> ShuffleOrReuse(Cluster* cluster, const Dataset& in,
         TRANCE_RETURN_NOT_OK(cluster->spill_manager()->SpillAndRestoreBlock(
             cluster->current_job_id(), stage->op + ".keyed_input", p,
             in.schema, &out.store.block(p), &pc));
-        NoteSpill(cluster, stage, stage->op + ".keyed_input", p, out.bytes[p],
-                  pc);
+        detail::NoteSpill(cluster, stage, stage->op + ".keyed_input", p,
+                          out.bytes[p], pc);
       }
     }
     return out;
@@ -396,7 +358,7 @@ Status LocalJoin(const column::PartitionBlock& left,
                  const std::vector<int>& lk, const std::vector<int>& rk,
                  JoinType type, size_t right_width,
                  column::PartitionBlock* out, uint64_t* out_bytes,
-                 key_codec::KeyStats* ks) {
+                 StageCounters* ks) {
   *out_bytes = 0;
   auto emit = [&](Row&& row) {
     *out_bytes += RowDeepSize(row);
@@ -414,12 +376,14 @@ Status LocalJoin(const column::PartitionBlock& left,
     auto [gi, inserted] = built.FindOrInsert(k);
     if (inserted) {
       chains.emplace_back();
-      ks->build_rows++;
+      ks->hash_build_rows++;
     } else {
-      ks->probe_hits++;
+      ks->hash_probe_hits++;
     }
     chains[gi].push_back(static_cast<uint32_t>(i));
-    if (chains[gi].size() > ks->max_chain) ks->max_chain = chains[gi].size();
+    if (chains[gi].size() > ks->hash_max_chain) {
+      ks->hash_max_chain = chains[gi].size();
+    }
   }
   const size_t ln = left.NumRows();
   for (size_t j = 0; j < ln; ++j) {
@@ -430,7 +394,7 @@ Status LocalJoin(const column::PartitionBlock& left,
       uint32_t gi = built.Find(k);
       if (gi != flat_hash::FlatKeyIndex::kNotFound) {
         matched = true;
-        ks->probe_hits++;
+        ks->hash_probe_hits++;
         Row l = left.RowAt(j);
         for (uint32_t ri : chains[gi]) emit(ConcatRows(l, right.RowAt(ri)));
       }
@@ -439,7 +403,7 @@ Status LocalJoin(const column::PartitionBlock& left,
       emit(NullPadRight(left.RowAt(j), right_width));
     }
   }
-  ks->encode_bytes += enc.bytes_encoded();
+  ks->key_encode_bytes += enc.bytes_encoded();
   NoteTableStats(built, ks);
   return Status::OK();
 }
@@ -744,7 +708,7 @@ StatusOr<Dataset> NestGroup(Cluster* cluster, const Dataset& in,
     const column::PartitionBlock& v = sp.store.block(p);
     std::vector<std::pair<std::vector<Field>, std::vector<Row>>> groups;
     std::vector<uint64_t> group_rows;  // rows mapped per group (chain stat)
-    key_codec::KeyStats& ks = kmeter.slot(p);
+    StageCounters& ks = kmeter.slot(p);
     flat_hash::FlatKeyIndex index;
     key_codec::KeyEncoder enc;
     const size_t rows = v.NumRows();
@@ -755,11 +719,13 @@ StatusOr<Dataset> NestGroup(Cluster* cluster, const Dataset& in,
       if (inserted) {
         groups.emplace_back(KeyFields(v, i, key_cols), std::vector<Row>{});
         group_rows.push_back(0);
-        ks.build_rows++;
+        ks.hash_build_rows++;
       } else {
-        ks.probe_hits++;
+        ks.hash_probe_hits++;
       }
-      if (++group_rows[gi] > ks.max_chain) ks.max_chain = group_rows[gi];
+      if (++group_rows[gi] > ks.hash_max_chain) {
+        ks.hash_max_chain = group_rows[gi];
+      }
       // NULL-to-empty-bag cast: a miss row marks a key with no inner
       // elements (outer join/unnest miss); it creates the group only.
       bool miss = !miss_cols.empty();
@@ -778,7 +744,7 @@ StatusOr<Dataset> NestGroup(Cluster* cluster, const Dataset& in,
         groups[gi].second.push_back(std::move(inner));
       }
     }
-    ks.encode_bytes += enc.bytes_encoded();
+    ks.key_encode_bytes += enc.bytes_encoded();
     NoteTableStats(index, &ks);
     column::PartitionBlock& dst = out.store.block(p);
     for (auto& [key_fields, members] : groups) {
@@ -868,7 +834,7 @@ StatusOr<Dataset> SumAggregate(Cluster* cluster, const Dataset& in,
     bool seen = false;
   };
   auto aggregate = [&](const column::PartitionBlock& v, bool rows_are_partial,
-                       key_codec::KeyStats* ks, column::PartitionBlock* out,
+                       StageCounters* ks, column::PartitionBlock* out,
                        uint64_t* emitted_bytes) -> Status {
     std::vector<std::pair<std::vector<Field>, Acc>> groups;
     std::vector<uint64_t> group_rows;
@@ -889,11 +855,13 @@ StatusOr<Dataset> SumAggregate(Cluster* cluster, const Dataset& in,
         acc.sums.assign(value_cols.size(), 0.0);
         groups.emplace_back(KeyFields(v, i, cols), std::move(acc));
         group_rows.push_back(0);
-        ks->build_rows++;
+        ks->hash_build_rows++;
       } else {
-        ks->probe_hits++;
+        ks->hash_probe_hits++;
       }
-      if (++group_rows[gi] > ks->max_chain) ks->max_chain = group_rows[gi];
+      if (++group_rows[gi] > ks->hash_max_chain) {
+        ks->hash_max_chain = group_rows[gi];
+      }
       Acc& acc = groups[gi].second;
       bool all_null = !value_cols.empty();
       for (size_t vi = 0; vi < value_cols.size(); ++vi) {
@@ -906,7 +874,7 @@ StatusOr<Dataset> SumAggregate(Cluster* cluster, const Dataset& in,
         if (!f.is_null()) acc.sums[vi] += f.AsNumber();  // lone NULL casts to 0
       }
     }
-    ks->encode_bytes += enc.bytes_encoded();
+    ks->key_encode_bytes += enc.bytes_encoded();
     NoteTableStats(index, ks);
     for (auto& [key_fields, acc] : groups) {
       Row row;
@@ -1151,7 +1119,7 @@ StatusOr<Dataset> Distinct(Cluster* cluster, const Dataset& in,
   // key copies column-to-column into the output block. Per-key duplicate
   // counts (the chain stat) live densely beside the index.
   auto dedup_partition = [&](size_t p) -> Status {
-    key_codec::KeyStats& ks = kmeter.slot(p);
+    StageCounters& ks = kmeter.slot(p);
     const column::PartitionBlock& v = sp.store.block(p);
     column::PartitionBlock& dst = out.store.block(p);
     flat_hash::FlatKeyIndex seen;
@@ -1164,16 +1132,16 @@ StatusOr<Dataset> Distinct(Cluster* cluster, const Dataset& in,
       auto [gi, inserted] = seen.FindOrInsert(k);
       if (inserted) {
         counts.push_back(1);
-        ks.build_rows++;
-        if (ks.max_chain < 1) ks.max_chain = 1;
+        ks.hash_build_rows++;
+        if (ks.hash_max_chain < 1) ks.hash_max_chain = 1;
         out_bytes[p] += v.RowBytesAt(i);
         dst.AppendRowFrom(v, i);
       } else {
-        ks.probe_hits++;
-        if (++counts[gi] > ks.max_chain) ks.max_chain = counts[gi];
+        ks.hash_probe_hits++;
+        if (++counts[gi] > ks.hash_max_chain) ks.hash_max_chain = counts[gi];
       }
     }
-    ks.encode_bytes += enc.bytes_encoded();
+    ks.key_encode_bytes += enc.bytes_encoded();
     NoteTableStats(seen, &ks);
     col_bytes[p] = dst.ByteFootprint();
     work.Add(p, sp.bytes[p] + out_bytes[p]);
@@ -1232,7 +1200,7 @@ StatusOr<Dataset> CoGroup(Cluster* cluster, const Dataset& left,
   KeyStatsMeter kmeter(nparts);
   std::vector<Status> errs(nparts);
   auto cogroup_partition = [&](size_t p) -> Status {
-    key_codec::KeyStats& ks = kmeter.slot(p);
+    StageCounters& ks = kmeter.slot(p);
     const column::PartitionBlock& vl = lsp.store.block(p);
     const column::PartitionBlock& vr = rsp.store.block(p);
     column::PartitionBlock& dst = out.store.block(p);
@@ -1247,9 +1215,9 @@ StatusOr<Dataset> CoGroup(Cluster* cluster, const Dataset& left,
       auto [gi, inserted] = built.FindOrInsert(k);
       if (inserted) {
         chains.emplace_back();
-        ks.build_rows++;
+        ks.hash_build_rows++;
       } else {
-        ks.probe_hits++;
+        ks.hash_probe_hits++;
       }
       // The bag member projects straight from the block — no whole-row
       // materialization.
@@ -1259,7 +1227,9 @@ StatusOr<Dataset> CoGroup(Cluster* cluster, const Dataset& left,
         proj.fields.push_back(vr.FieldAt(i, static_cast<size_t>(c)));
       }
       chains[gi].push_back(std::move(proj));
-      if (chains[gi].size() > ks.max_chain) ks.max_chain = chains[gi].size();
+      if (chains[gi].size() > ks.hash_max_chain) {
+        ks.hash_max_chain = chains[gi].size();
+      }
     }
     const size_t lrows = vl.NumRows();
     for (size_t j = 0; j < lrows; ++j) {
@@ -1269,7 +1239,7 @@ StatusOr<Dataset> CoGroup(Cluster* cluster, const Dataset& left,
                                 enc.EncodeAt(vl, j, left_keys));
         uint32_t gi = built.Find(k);
         if (gi != flat_hash::FlatKeyIndex::kNotFound) {
-          ks.probe_hits++;
+          ks.hash_probe_hits++;
           matches = &chains[gi];
         }
       }
@@ -1282,7 +1252,7 @@ StatusOr<Dataset> CoGroup(Cluster* cluster, const Dataset& left,
       out_bytes[p] += sz;
       dst.AppendRow(row);
     }
-    ks.encode_bytes += enc.bytes_encoded();
+    ks.key_encode_bytes += enc.bytes_encoded();
     NoteTableStats(built, &ks);
     work.Add(p, lsp.bytes[p] + rsp.bytes[p]);
     col_bytes[p] = dst.ByteFootprint();

@@ -17,9 +17,8 @@
 //   - detail::FinishStage spills any stage-output partition over the memory
 //     cap, which is what lets the memory check pass instead of failing.
 //
-// Spill cost is reported only through the spill-only counters
-// (spill_bytes_written / spill_bytes_read / spill_runs / spill_merge_passes);
-// all are exactly 0 when nothing spills.
+// Spill cost is reported only through the spill group of the counter table
+// (runtime/stage_counters.h); all of it is exactly 0 when nothing spills.
 #ifndef TRANCE_RUNTIME_SPILL_H_
 #define TRANCE_RUNTIME_SPILL_H_
 

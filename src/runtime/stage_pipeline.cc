@@ -9,6 +9,29 @@ namespace runtime {
 
 namespace detail {
 
+void NoteSpill(Cluster* cluster, StageStats* stage, const std::string& op,
+               size_t partition, uint64_t partition_bytes,
+               const spill::SpillCounters& c) {
+  stage->spill_bytes_written += c.bytes_written;
+  stage->spill_bytes_read += c.bytes_read;
+  stage->spill_runs += c.runs;
+  stage->spill_merge_passes += c.merge_passes;
+  stage->spill_rowify_avoided += c.rowify_avoided;
+  obs::EventLog& log = obs::GlobalEventLog();
+  if (!log.enabled()) return;
+  obs::Event(&log, "spill")
+      .U64("job", cluster->current_job_id())
+      .Str("op", op)
+      .U64("partition", partition)
+      .U64("partition_bytes", partition_bytes)
+      .U64("bytes_written", c.bytes_written)
+      .U64("bytes_read", c.bytes_read)
+      .U64("runs", c.runs)
+      .U64("merge_passes", c.merge_passes)
+      .U64("rowify_avoided", c.rowify_avoided)
+      .Emit();
+}
+
 Status FinishStage(Cluster* cluster, StageStats stage, Dataset* result,
                    const std::string& name,
                    std::vector<uint64_t> part_bytes) {
@@ -32,7 +55,6 @@ Status FinishStage(Cluster* cluster, StageStats stage, Dataset* result,
   if (cluster->spill_enabled()) {
     uint64_t threshold = std::min(cluster->spill_threshold_bytes(),
                                   cluster->config().partition_memory_cap);
-    spill::SpillCounters c;
     for (size_t p = 0; p < part_bytes.size(); ++p) {
       if (part_bytes[p] <= threshold) continue;
       spill::SpillCounters pc;
@@ -44,27 +66,8 @@ Status FinishStage(Cluster* cluster, StageStats stage, Dataset* result,
       if (!spill_status.ok()) break;
       spilled[p] = 1;
       any_spilled = true;
-      c += pc;
-      obs::EventLog& log = obs::GlobalEventLog();
-      if (log.enabled()) {
-        obs::Event(&log, "spill")
-            .U64("job", cluster->current_job_id())
-            .Str("op", name)
-            .U64("partition", p)
-            .U64("partition_bytes", part_bytes[p])
-            .U64("bytes_written", pc.bytes_written)
-            .U64("bytes_read", pc.bytes_read)
-            .U64("runs", pc.runs)
-            .U64("merge_passes", pc.merge_passes)
-            .U64("rowify_avoided", pc.rowify_avoided)
-            .Emit();
-      }
+      NoteSpill(cluster, &stage, name, p, part_bytes[p], pc);
     }
-    stage.spill_bytes_written += c.bytes_written;
-    stage.spill_bytes_read += c.bytes_read;
-    stage.spill_runs += c.runs;
-    stage.spill_merge_passes += c.merge_passes;
-    stage.spill_rowify_avoided += c.rowify_avoided;
   }
   cluster->RecordStage(std::move(stage));
   TRANCE_RETURN_NOT_OK(spill_status);

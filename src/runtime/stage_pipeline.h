@@ -205,6 +205,14 @@ StatusOr<Dataset> RunStagePipeline(Cluster* cluster, const Dataset& in,
                                    const std::string& stage_name);
 
 namespace detail {
+/// Folds one partition's spill telemetry into the stage and emits its spill
+/// event. Driver-side only (post-barrier or sequential loops), in partition
+/// order, so spill counters and the event sequence are thread-count-invariant.
+/// Shared by the shuffle fetch, keyed-input reuse and stage-barrier spills.
+void NoteSpill(Cluster* cluster, StageStats* stage, const std::string& op,
+               size_t partition, uint64_t partition_bytes,
+               const spill::SpillCounters& c);
+
 /// Stage barrier shared by the bulk operators and the fused-stage runner:
 /// finalizes row counts, stamps the memory high-water mark, records the
 /// stage and enforces the per-partition cap. `part_bytes`, when provided, is

@@ -50,7 +50,7 @@ std::string JobStats::ToString() const {
   std::ostringstream os;
   StragglerSummary sk = straggler();
   os << "JobStats{stages=" << stages_.size()
-     << ", shuffle=" << FormatBytes(totals_.shuffle_bytes)
+     << ", shuffle=" << FormatBytes(shuffle_bytes_)
      << ", max_stage_shuffle=" << FormatBytes(max_stage_shuffle_)
      << ", peak_partition=" << FormatBytes(peak_partition_bytes_)
      << ", max_partition_recv=" << FormatBytes(sk.max_partition_recv_bytes)
@@ -58,8 +58,9 @@ std::string JobStats::ToString() const {
      << ", straggler=" << FormatDouble(sk.worst_imbalance, 2) << "x"
      << (sk.worst_stage.empty() ? "" : "@" + sk.worst_stage)
      << ", heavy_keys=" << sk.heavy_key_count;
-  if (injected_faults_ > 0) {
-    os << ", injected_faults=" << injected_faults_ << ", retries=" << retries_
+  if (counters_.injected_faults > 0) {
+    os << ", injected_faults=" << counters_.injected_faults
+       << ", retries=" << counters_.retries
        << ", recovery=" << FormatDouble(recovery_sim_seconds_, 3) << "s";
   }
   os << ", sim_time=" << FormatDouble(sim_seconds_, 3) << "s}";

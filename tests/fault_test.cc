@@ -21,11 +21,13 @@
 #include "runtime/ops.h"
 #include "tpch/generator.h"
 #include "tpch/queries.h"
+#include "stats_test_util.h"
 
 namespace trance {
 namespace {
 
 using nrc::Value;
+using runtime::CounterGroup;
 using runtime::Dataset;
 using runtime::FaultConfig;
 using runtime::FaultInjector;
@@ -33,6 +35,7 @@ using runtime::FaultKind;
 using runtime::JobStats;
 using runtime::Row;
 using runtime::StageStats;
+using testing_util::ExpectSameStats;
 
 // --- FaultInjector unit tests --------------------------------------------
 
@@ -156,37 +159,6 @@ void ExpectSameRows(const Dataset& a, const Dataset& b) {
             << "partition " << p << " row " << i << " field " << f;
       }
     }
-  }
-}
-
-/// Stats-transparency check: every non-recovery field equal between a
-/// fault-free run `a` and a recovered run `b` (or two recovered runs).
-void ExpectSameBaseStats(const JobStats& a, const JobStats& b) {
-  EXPECT_EQ(a.total_shuffle_bytes(), b.total_shuffle_bytes());
-  EXPECT_EQ(a.max_stage_shuffle_bytes(), b.max_stage_shuffle_bytes());
-  EXPECT_EQ(a.peak_partition_bytes(), b.peak_partition_bytes());
-  EXPECT_EQ(a.fused_stages(), b.fused_stages());
-  EXPECT_EQ(a.intermediate_bytes_avoided(), b.intermediate_bytes_avoided());
-  EXPECT_EQ(a.sim_seconds(), b.sim_seconds());
-  ASSERT_EQ(a.stages().size(), b.stages().size());
-  for (size_t i = 0; i < a.stages().size(); ++i) {
-    const StageStats& sa = a.stages()[i];
-    const StageStats& sb = b.stages()[i];
-    SCOPED_TRACE("stage " + std::to_string(i) + " (" + sa.op + ")");
-    EXPECT_EQ(sa.op, sb.op);
-    EXPECT_EQ(sa.scope, sb.scope);
-    EXPECT_EQ(sa.rows_in, sb.rows_in);
-    EXPECT_EQ(sa.rows_out, sb.rows_out);
-    EXPECT_EQ(sa.shuffle_bytes, sb.shuffle_bytes);
-    EXPECT_EQ(sa.total_work_bytes, sb.total_work_bytes);
-    EXPECT_EQ(sa.max_partition_work_bytes, sb.max_partition_work_bytes);
-    EXPECT_EQ(sa.max_partition_recv_bytes, sb.max_partition_recv_bytes);
-    EXPECT_EQ(sa.mem_high_water_bytes, sb.mem_high_water_bytes);
-    EXPECT_EQ(sa.partition_work_bytes, sb.partition_work_bytes);
-    EXPECT_EQ(sa.partition_recv_bytes, sb.partition_recv_bytes);
-    EXPECT_EQ(sa.partition_send_bytes, sb.partition_send_bytes);
-    EXPECT_EQ(sa.intermediate_bytes_avoided, sb.intermediate_bytes_avoided);
-    EXPECT_EQ(sa.sim_seconds, sb.sim_seconds);
   }
 }
 
@@ -346,14 +318,14 @@ TEST_P(FaultSuiteTest, StandardRouteRecoveryIsTransparent) {
   // Recovery is stats-transparent: identical rows and base stats vs. the
   // fault-free run.
   ExpectSameRows(clean.out, faulted1.out);
-  ExpectSameBaseStats(clean.stats, faulted1.stats);
+  ExpectSameStats(clean.stats, faulted1.stats, {CounterGroup::kFault});
   EXPECT_EQ(clean.stats.injected_faults(), 0u);
   EXPECT_EQ(clean.stats.recovery_sim_seconds(), 0.0);
 
   // The fault schedule is deterministic: independent of thread count and
   // reproducible across runs with the same seed.
   ExpectSameRows(faulted1.out, faulted4.out);
-  ExpectSameBaseStats(faulted1.stats, faulted4.stats);
+  ExpectSameStats(faulted1.stats, faulted4.stats);
   ExpectSameFaultTelemetry(faulted1.stats, faulted4.stats);
   ExpectSameRows(faulted1.out, repeat1.out);
   ExpectSameFaultTelemetry(faulted1.stats, repeat1.stats);
@@ -372,9 +344,9 @@ TEST_P(FaultSuiteTest, ShreddedRouteRecoveryIsTransparent) {
 
   EXPECT_GT(faulted1.stats.injected_faults(), 0u);
   ExpectSameShreddedRows(clean.run, faulted1.run);
-  ExpectSameBaseStats(clean.stats, faulted1.stats);
+  ExpectSameStats(clean.stats, faulted1.stats, {CounterGroup::kFault});
   ExpectSameShreddedRows(faulted1.run, faulted4.run);
-  ExpectSameBaseStats(faulted1.stats, faulted4.stats);
+  ExpectSameStats(faulted1.stats, faulted4.stats);
   ExpectSameFaultTelemetry(faulted1.stats, faulted4.stats);
 }
 

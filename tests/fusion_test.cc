@@ -29,6 +29,7 @@
 #include "runtime/stage_pipeline.h"
 #include "tpch/generator.h"
 #include "tpch/queries.h"
+#include "stats_test_util.h"
 
 namespace trance {
 namespace {
@@ -38,6 +39,7 @@ using runtime::Dataset;
 using runtime::JobStats;
 using runtime::Row;
 using runtime::StageStats;
+using testing_util::ExpectSameStats;
 
 runtime::ClusterConfig Config(int num_threads) {
   runtime::ClusterConfig c;
@@ -61,41 +63,6 @@ void ExpectSameRows(const Dataset& a, const Dataset& b) {
             << "partition " << p << " row " << i << " field " << f;
       }
     }
-  }
-}
-
-/// Full JobStats equality except wall-clock fields: used to check that each
-/// fusion mode independently keeps the PR-2 contract (stats are a function
-/// of the data, not the thread count).
-void ExpectSameStats(const JobStats& a, const JobStats& b) {
-  EXPECT_EQ(a.total_shuffle_bytes(), b.total_shuffle_bytes());
-  EXPECT_EQ(a.max_stage_shuffle_bytes(), b.max_stage_shuffle_bytes());
-  EXPECT_EQ(a.peak_partition_bytes(), b.peak_partition_bytes());
-  EXPECT_EQ(a.fused_stages(), b.fused_stages());
-  EXPECT_EQ(a.intermediate_bytes_avoided(), b.intermediate_bytes_avoided());
-  EXPECT_EQ(a.sim_seconds(), b.sim_seconds());
-  ASSERT_EQ(a.stages().size(), b.stages().size());
-  for (size_t i = 0; i < a.stages().size(); ++i) {
-    const StageStats& sa = a.stages()[i];
-    const StageStats& sb = b.stages()[i];
-    SCOPED_TRACE("stage " + std::to_string(i) + " (" + sa.op + ")");
-    EXPECT_EQ(sa.op, sb.op);
-    EXPECT_EQ(sa.scope, sb.scope);
-    EXPECT_EQ(sa.rows_in, sb.rows_in);
-    EXPECT_EQ(sa.rows_out, sb.rows_out);
-    EXPECT_EQ(sa.shuffle_bytes, sb.shuffle_bytes);
-    EXPECT_EQ(sa.total_work_bytes, sb.total_work_bytes);
-    EXPECT_EQ(sa.mem_high_water_bytes, sb.mem_high_water_bytes);
-    EXPECT_EQ(sa.partition_work_bytes, sb.partition_work_bytes);
-    EXPECT_EQ(sa.intermediate_bytes_avoided, sb.intermediate_bytes_avoided);
-    ASSERT_EQ(sa.fused_transforms.size(), sb.fused_transforms.size());
-    for (size_t t = 0; t < sa.fused_transforms.size(); ++t) {
-      EXPECT_EQ(sa.fused_transforms[t].op, sb.fused_transforms[t].op);
-      EXPECT_EQ(sa.fused_transforms[t].scope, sb.fused_transforms[t].scope);
-      EXPECT_EQ(sa.fused_transforms[t].rows_out,
-                sb.fused_transforms[t].rows_out);
-    }
-    EXPECT_EQ(sa.sim_seconds, sb.sim_seconds);
   }
 }
 

@@ -13,6 +13,7 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "runtime/cluster.h"
+#include "runtime/stage_counters.h"
 #include "shred/shredded_type.h"
 #include "tpch/generator.h"
 #include "tpch/queries.h"
@@ -214,6 +215,8 @@ Status RegisterTables(exec::Executor* executor, const tpch::TpchData& d) {
 /// Runs the small Figure-7 standard query on a fresh cluster and returns the
 /// cluster's registry snapshot plus its JobStats-derived expectations.
 struct QueryRun {
+  std::vector<MetricSample> samples;
+  runtime::JobStats job;
   std::map<std::string, uint64_t> counters;
   std::string prometheus;
   uint64_t shuffle_bytes = 0;
@@ -224,23 +227,36 @@ struct QueryRun {
   uint64_t stages = 0;
 };
 
-QueryRun RunSmallQuery(int num_threads) {
+/// `stressed` runs it under a 4 KiB partition cap with spilling on and
+/// seeded fault injection, so the spill and fault counters move too.
+QueryRun RunSmallQuery(int num_threads, bool stressed = false) {
   tpch::TpchConfig tcfg;
   tcfg.scale = 0.002;
   tpch::TpchData data = tpch::Generate(tcfg);
   runtime::ClusterConfig ccfg;
   ccfg.num_partitions = 4;
   ccfg.num_threads = num_threads;
+  exec::PipelineOptions opts;
+  if (stressed) {
+    ccfg.partition_memory_cap = 4ull << 10;
+    ccfg.faults.enabled = true;
+    ccfg.faults.fault_rate = 0.5;
+    ccfg.faults.max_faults_per_task = 2;
+    ccfg.faults.max_task_retries = 4;
+    opts.exec.enable_spill = true;
+  }
   runtime::Cluster cluster(ccfg);
-  exec::Executor executor(&cluster, {});
+  exec::Executor executor(&cluster, opts.exec);
   EXPECT_TRUE(RegisterTables(&executor, data).ok());
   auto program = tpch::FlatToNested(2, tpch::Width::kNarrow);
   EXPECT_TRUE(program.ok());
-  auto out = exec::RunStandard(program.value(), &executor, {});
+  auto out = exec::RunStandard(program.value(), &executor, opts);
   EXPECT_TRUE(out.ok()) << out.status().ToString();
 
   QueryRun r;
-  for (const MetricSample& s : cluster.metrics().Snapshot()) {
+  r.samples = cluster.metrics().Snapshot();
+  r.job = cluster.stats();
+  for (const MetricSample& s : r.samples) {
     if (s.kind == MetricKind::kCounter) {
       r.counters[s.ExpositionName()] = s.counter_value;
     }
@@ -259,8 +275,40 @@ QueryRun RunSmallQuery(int num_threads) {
 }
 
 TEST(MetricRegistryIntegrationTest, RegistryAgreesWithJobStats) {
-  QueryRun r = RunSmallQuery(1);
+  // Keyed operators, a forced spill and injected faults: every counter-table
+  // row moves (except column_to_row_conversions, 0 by construction).
+  QueryRun r = RunSmallQuery(1, /*stressed=*/true);
   ASSERT_GT(r.stages, 0u);
+  for (const runtime::CounterDesc& d : runtime::kStageCounters) {
+    SCOPED_TRACE(d.series);
+    const uint64_t total = r.job.counters().*d.field;
+    if (d.field != &runtime::StageCounters::column_to_row_conversions) {
+      EXPECT_GT(total, 0u) << d.name;
+    }
+    // Sum rows are counters (summed over their label sets); max rows are
+    // SetMax gauges holding the worst stage's value.
+    const MetricKind kind = d.fold == runtime::CounterFold::kSum
+                                ? MetricKind::kCounter
+                                : MetricKind::kGauge;
+    uint64_t series_total = 0;
+    size_t series = 0;
+    for (const MetricSample& s : r.samples) {
+      if (s.name != d.series) continue;
+      ++series;
+      EXPECT_EQ(s.kind, kind);
+      series_total += s.kind == MetricKind::kCounter
+                          ? s.counter_value
+                          : static_cast<uint64_t>(s.gauge_value);
+    }
+    EXPECT_GT(series, 0u);
+    EXPECT_EQ(series_total, total) << d.name;
+    if (d.fold == runtime::CounterFold::kMax) {
+      // Several stages report the quantity, so an Add gauge would overshoot.
+      uint64_t stage_sum = 0;
+      for (const auto& st : r.job.stages()) stage_sum += st.*d.field;
+      EXPECT_LT(total, stage_sum) << d.name;
+    }
+  }
   EXPECT_EQ(r.counters.at("trance_shuffle_bytes_total"), r.shuffle_bytes);
   EXPECT_EQ(r.counters.at("trance_rows_in_total"), r.rows_in);
   EXPECT_EQ(r.counters.at("trance_rows_out_total"), r.rows_out);

@@ -13,10 +13,13 @@
 #include "runtime/ops.h"
 #include "tpch/generator.h"
 #include "tpch/queries.h"
+#include "stats_test_util.h"
 
 namespace trance {
 namespace runtime {
 namespace {
+
+using testing_util::ExpectSameStats;
 
 // Thread counts under test: 1 is the inline sequential path, 4 and 8
 // exercise the pool (oversubscribed on small machines, which is fine — the
@@ -38,36 +41,6 @@ void ExpectSameRows(const Dataset& a, const Dataset& b) {
             << "partition " << p << " row " << i << " field " << f;
       }
     }
-  }
-}
-
-/// Full JobStats equality except the wall-clock fields (the only quantities
-/// allowed to vary with the thread count).
-void ExpectSameStats(const JobStats& a, const JobStats& b) {
-  EXPECT_EQ(a.total_shuffle_bytes(), b.total_shuffle_bytes());
-  EXPECT_EQ(a.max_stage_shuffle_bytes(), b.max_stage_shuffle_bytes());
-  EXPECT_EQ(a.peak_partition_bytes(), b.peak_partition_bytes());
-  EXPECT_EQ(a.sim_seconds(), b.sim_seconds());
-  ASSERT_EQ(a.stages().size(), b.stages().size());
-  for (size_t i = 0; i < a.stages().size(); ++i) {
-    const StageStats& sa = a.stages()[i];
-    const StageStats& sb = b.stages()[i];
-    SCOPED_TRACE("stage " + std::to_string(i) + " (" + sa.op + ")");
-    EXPECT_EQ(sa.op, sb.op);
-    EXPECT_EQ(sa.scope, sb.scope);
-    EXPECT_EQ(sa.rows_in, sb.rows_in);
-    EXPECT_EQ(sa.rows_out, sb.rows_out);
-    EXPECT_EQ(sa.shuffle_bytes, sb.shuffle_bytes);
-    EXPECT_EQ(sa.max_partition_recv_bytes, sb.max_partition_recv_bytes);
-    EXPECT_EQ(sa.max_partition_work_bytes, sb.max_partition_work_bytes);
-    EXPECT_EQ(sa.total_work_bytes, sb.total_work_bytes);
-    EXPECT_EQ(sa.mem_high_water_bytes, sb.mem_high_water_bytes);
-    EXPECT_EQ(sa.heavy_key_count, sb.heavy_key_count);
-    EXPECT_EQ(sa.movement, sb.movement);
-    EXPECT_EQ(sa.partition_send_bytes, sb.partition_send_bytes);
-    EXPECT_EQ(sa.partition_recv_bytes, sb.partition_recv_bytes);
-    EXPECT_EQ(sa.partition_work_bytes, sb.partition_work_bytes);
-    EXPECT_EQ(sa.sim_seconds, sb.sim_seconds);  // exact: same integer inputs
   }
 }
 

@@ -33,16 +33,18 @@
 #include "runtime/serde.h"
 #include "tpch/generator.h"
 #include "tpch/queries.h"
+#include "stats_test_util.h"
 
 namespace trance {
 namespace {
 
 using nrc::Value;
+using runtime::CounterGroup;
 using runtime::Dataset;
 using runtime::JobStats;
 using runtime::Row;
-using runtime::StageStats;
 using runtime::Field;
+using testing_util::ExpectSameStats;
 
 // The forced cap: far below the working set of every suite query at scale
 // 0.0005 (partitions run tens of KB), so a spill-off capped run FAILs and a
@@ -72,50 +74,6 @@ void ExpectSameRows(const Dataset& a, const Dataset& b) {
             << "partition " << p << " row " << i << " field " << f;
       }
     }
-  }
-}
-
-/// Full JobStats equality except wall-clock and the spill-only counters
-/// (checked separately: nonzero when forced, zero otherwise). Every
-/// pre-existing counter — movement, fusion, keyed, flat-table, and columnar
-/// telemetry — must be spill-invariant.
-void ExpectSameStats(const JobStats& a, const JobStats& b) {
-  EXPECT_EQ(a.total_shuffle_bytes(), b.total_shuffle_bytes());
-  EXPECT_EQ(a.max_stage_shuffle_bytes(), b.max_stage_shuffle_bytes());
-  EXPECT_EQ(a.peak_partition_bytes(), b.peak_partition_bytes());
-  EXPECT_EQ(a.fused_stages(), b.fused_stages());
-  EXPECT_EQ(a.intermediate_bytes_avoided(), b.intermediate_bytes_avoided());
-  EXPECT_EQ(a.sim_seconds(), b.sim_seconds());
-  EXPECT_EQ(a.key_encode_bytes(), b.key_encode_bytes());
-  EXPECT_EQ(a.hash_build_rows(), b.hash_build_rows());
-  EXPECT_EQ(a.hash_probe_hits(), b.hash_probe_hits());
-  EXPECT_EQ(a.hash_max_chain(), b.hash_max_chain());
-  EXPECT_EQ(a.hash_table_bytes(), b.hash_table_bytes());
-  EXPECT_EQ(a.hash_resizes(), b.hash_resizes());
-  EXPECT_EQ(a.hash_probe_len_max(), b.hash_probe_len_max());
-  EXPECT_EQ(a.columnar_bytes(), b.columnar_bytes());
-  EXPECT_EQ(a.column_to_row_conversions(), b.column_to_row_conversions());
-  ASSERT_EQ(a.stages().size(), b.stages().size());
-  for (size_t i = 0; i < a.stages().size(); ++i) {
-    const StageStats& sa = a.stages()[i];
-    const StageStats& sb = b.stages()[i];
-    SCOPED_TRACE("stage " + std::to_string(i) + " (" + sa.op + ")");
-    EXPECT_EQ(sa.op, sb.op);
-    EXPECT_EQ(sa.scope, sb.scope);
-    EXPECT_EQ(sa.rows_in, sb.rows_in);
-    EXPECT_EQ(sa.rows_out, sb.rows_out);
-    EXPECT_EQ(sa.shuffle_bytes, sb.shuffle_bytes);
-    EXPECT_EQ(sa.total_work_bytes, sb.total_work_bytes);
-    EXPECT_EQ(sa.mem_high_water_bytes, sb.mem_high_water_bytes);
-    EXPECT_EQ(sa.partition_work_bytes, sb.partition_work_bytes);
-    EXPECT_EQ(sa.partition_recv_bytes, sb.partition_recv_bytes);
-    EXPECT_EQ(sa.partition_send_bytes, sb.partition_send_bytes);
-    EXPECT_EQ(sa.key_encode_bytes, sb.key_encode_bytes);
-    EXPECT_EQ(sa.hash_build_rows, sb.hash_build_rows);
-    EXPECT_EQ(sa.hash_probe_hits, sb.hash_probe_hits);
-    EXPECT_EQ(sa.hash_max_chain, sb.hash_max_chain);
-    EXPECT_EQ(sa.hash_table_bytes, sb.hash_table_bytes);
-    EXPECT_EQ(sa.sim_seconds, sb.sim_seconds);
   }
 }
 
@@ -285,7 +243,7 @@ TEST_P(SpillSuiteTest, CappedStandardRunMatchesUncapped) {
   // ...with identical rows in identical partitions and identical
   // pre-existing stats, and real spill traffic.
   ExpectSameRows(uncapped.out, spill1.out);
-  ExpectSameStats(uncapped.stats, spill1.stats);
+  ExpectSameStats(uncapped.stats, spill1.stats, {CounterGroup::kSpill});
   EXPECT_GT(spill1.stats.spill_runs(), 0u);
   EXPECT_GT(spill1.stats.spill_bytes_written(), 0u);
   EXPECT_EQ(spill1.stats.spill_bytes_read(),
@@ -333,7 +291,7 @@ TEST_P(SpillSuiteTest, CappedShreddedRunMatchesUncapped) {
   ASSERT_TRUE(spill8.ok) << spill8.status.ToString();
 
   ExpectSameShreddedRows(uncapped.run, spill1.run);
-  ExpectSameStats(uncapped.stats, spill1.stats);
+  ExpectSameStats(uncapped.stats, spill1.stats, {CounterGroup::kSpill});
   EXPECT_GT(spill1.stats.spill_runs(), 0u);
   ExpectZeroSpill(uncapped.stats);
 
