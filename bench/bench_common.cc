@@ -106,10 +106,6 @@ RunResult TimedRun(const std::string& name, runtime::Cluster* cluster,
     r.wall_s = watch.ElapsedSeconds();
   }
   const auto& stats = cluster->stats();
-  r.sim_s = stats.sim_seconds();
-  r.shuffle_bytes = stats.total_shuffle_bytes();
-  r.max_stage_shuffle = stats.max_stage_shuffle_bytes();
-  r.peak_partition = stats.peak_partition_bytes();
   r.stats = stats;
   r.metrics = cluster->metrics().Snapshot();
   r.ok = st.ok();
@@ -131,17 +127,19 @@ void PrintResult(const RunResult& r) {
                 r.fail_reason.substr(0, 100).c_str());
     return;
   }
+  const runtime::JobStats& s = r.stats;
   std::printf("%-44s %9.3f %9.2f %12s %12s %12s %8zu\n", r.name.c_str(),
-              r.wall_s, r.sim_s, FormatBytes(r.shuffle_bytes).c_str(),
-              FormatBytes(r.max_stage_shuffle).c_str(),
-              FormatBytes(r.peak_partition).c_str(), r.out_rows);
+              r.wall_s, s.sim_seconds(),
+              FormatBytes(s.total_shuffle_bytes()).c_str(),
+              FormatBytes(s.max_stage_shuffle_bytes()).c_str(),
+              FormatBytes(s.peak_partition_bytes()).c_str(), r.out_rows);
 }
 
 std::string Ratio(const RunResult& num, const RunResult& den,
-                  uint64_t RunResult::*field) {
-  if (!num.ok || !den.ok || den.*field == 0) return "n/a";
-  double v = static_cast<double>(num.*field) /
-             static_cast<double>(den.*field);
+                  uint64_t (runtime::JobStats::*stat)() const) {
+  if (!num.ok || !den.ok || (den.stats.*stat)() == 0) return "n/a";
+  double v = static_cast<double>((num.stats.*stat)()) /
+             static_cast<double>((den.stats.*stat)());
   return FormatDouble(v, 1) + "x";
 }
 
@@ -201,13 +199,13 @@ Status WriteBenchReport(const std::string& bench_name,
       }
     }
     w.Key("sim_seconds");
-    w.Number(r.sim_s);
+    w.Number(r.stats.sim_seconds());
     w.Key("shuffle_bytes");
-    w.Uint(r.shuffle_bytes);
+    w.Uint(r.stats.total_shuffle_bytes());
     w.Key("max_stage_shuffle_bytes");
-    w.Uint(r.max_stage_shuffle);
+    w.Uint(r.stats.max_stage_shuffle_bytes());
     w.Key("peak_partition_bytes");
-    w.Uint(r.peak_partition);
+    w.Uint(r.stats.peak_partition_bytes());
     w.Key("fused_stages");
     w.Uint(r.stats.fused_stages());
     w.Key("intermediate_bytes_avoided");

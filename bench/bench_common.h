@@ -33,14 +33,11 @@ struct RunResult {
   /// operator execution; see ClusterConfig::num_threads).
   int num_threads = 1;
   double wall_s = 0;
-  double sim_s = 0;
-  uint64_t shuffle_bytes = 0;
-  uint64_t max_stage_shuffle = 0;
-  uint64_t peak_partition = 0;
   size_t out_rows = 0;
-  /// Full telemetry of the run for the JSON bench report: the fusion, fault
-  /// and counter-table totals (stats.counters()), partition histograms,
-  /// movement decisions and the straggler summary.
+  /// Full telemetry of the run: simulated time, shuffle bytes, max-stage
+  /// shuffle and peak partition bytes, the fusion, fault and counter-table
+  /// totals (stats.counters()), partition histograms, movement decisions and
+  /// the straggler summary.
   runtime::JobStats stats;
   /// Snapshot of the cluster's metric registry at the end of the run.
   /// Serialized generically into the report's per-run `metrics` object, so
@@ -91,9 +88,10 @@ RunResult TimedRun(const std::string& name, runtime::Cluster* cluster,
 void PrintHeader(const std::string& title);
 void PrintResult(const RunResult& r);
 
-/// Ratio helper for the shuffle-comparison tables ("n/a" on zero/FAIL).
+/// Ratio of one JobStats quantity between two runs, for the
+/// shuffle-comparison tables ("n/a" on zero/FAIL).
 std::string Ratio(const RunResult& num, const RunResult& den,
-                  uint64_t RunResult::*field);
+                  uint64_t (runtime::JobStats::*stat)() const);
 
 // --- Observability hooks -------------------------------------------------
 

@@ -129,7 +129,7 @@ std::vector<RunResult> RunDataset(const char* label,
         return Status::OK();
       });
       r.out_rows = out_rows;
-      total += r.ok ? r.sim_s : 0;
+      total += r.ok ? r.stats.sim_seconds() : 0;
       PrintResult(r);
       if (!r.ok) {
         dead = true;

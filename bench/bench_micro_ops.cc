@@ -807,14 +807,15 @@ Status RunSpillAblation() {
     TRANCE_CHECK(forced.ok && off.ok, "spill ablation run failed");
     TRANCE_CHECK(forced.out_rows == off.out_rows,
                  "spill ablation: result rows differ for " + forced.name);
-    TRANCE_CHECK(forced.shuffle_bytes == off.shuffle_bytes &&
-                     forced.max_stage_shuffle == off.max_stage_shuffle &&
-                     forced.peak_partition == off.peak_partition,
-                 "spill ablation: movement stats differ for " + forced.name);
-    TRANCE_CHECK(forced.sim_s == off.sim_s,
-                 "spill ablation: sim time differs for " + forced.name);
     const runtime::JobStats& fs = forced.stats;
     const runtime::JobStats& os = off.stats;
+    TRANCE_CHECK(fs.total_shuffle_bytes() == os.total_shuffle_bytes() &&
+                     fs.max_stage_shuffle_bytes() ==
+                         os.max_stage_shuffle_bytes() &&
+                     fs.peak_partition_bytes() == os.peak_partition_bytes(),
+                 "spill ablation: movement stats differ for " + forced.name);
+    TRANCE_CHECK(fs.sim_seconds() == os.sim_seconds(),
+                 "spill ablation: sim time differs for " + forced.name);
     TRANCE_CHECK(fs.key_encode_bytes() == os.key_encode_bytes() &&
                      fs.hash_build_rows() == os.hash_build_rows() &&
                      fs.hash_probe_hits() == os.hash_probe_hits() &&

@@ -27,7 +27,7 @@ const RunResult* Find(const std::vector<RunResult>& rs,
 
 void Compare(const char* label, const std::vector<RunResult>& rs,
              const std::string& a, const std::string& b,
-             uint64_t RunResult::*field) {
+             uint64_t (runtime::JobStats::*stat)() const) {
   const RunResult* ra = Find(rs, a);
   const RunResult* rb = Find(rs, b);
   if (ra == nullptr || rb == nullptr) {
@@ -35,9 +35,9 @@ void Compare(const char* label, const std::vector<RunResult>& rs,
     return;
   }
   std::printf("%-58s  %s  (%s vs %s)\n", label,
-              Ratio(*ra, *rb, field).c_str(),
-              ra->ok ? FormatBytes(ra->*field).c_str() : "FAIL",
-              rb->ok ? FormatBytes(rb->*field).c_str() : "FAIL");
+              Ratio(*ra, *rb, stat).c_str(),
+              ra->ok ? FormatBytes((ra->stats.*stat)()).c_str() : "FAIL",
+              rb->ok ? FormatBytes((rb->stats.*stat)()).c_str() : "FAIL");
 }
 
 }  // namespace
@@ -60,19 +60,19 @@ int main() {
   std::printf("\n=== Shuffle comparisons (Section 6 text) ===\n");
   Compare("flat-to-nested wide d2: STANDARD vs SHRED (max stage)", wruns,
           "flat_to_nested d2 STANDARD", "flat_to_nested d2 SHRED",
-          &RunResult::max_stage_shuffle);
+          &runtime::JobStats::max_stage_shuffle_bytes);
   Compare("flat-to-nested wide d4: STANDARD vs SHRED (max stage)", wruns,
           "flat_to_nested d4 STANDARD", "flat_to_nested d4 SHRED",
-          &RunResult::max_stage_shuffle);
+          &runtime::JobStats::max_stage_shuffle_bytes);
   Compare("nested-to-nested narrow d2: STANDARD vs SHRED (total)", nruns,
           "nested_to_nested d2 STANDARD", "nested_to_nested d2 SHRED",
-          &RunResult::shuffle_bytes);
+          &runtime::JobStats::total_shuffle_bytes);
   Compare("nested-to-nested wide d2: STANDARD vs SHRED (total)", wruns,
           "nested_to_nested d2 STANDARD", "nested_to_nested d2 SHRED",
-          &RunResult::shuffle_bytes);
+          &runtime::JobStats::total_shuffle_bytes);
   Compare("nested-to-flat wide d2: STANDARD vs SHRED (total)", wruns,
           "nested_to_flat d2 STANDARD", "nested_to_flat d2 SHRED",
-          &RunResult::shuffle_bytes);
+          &runtime::JobStats::total_shuffle_bytes);
   std::printf(
       "\n(skew join shuffle reductions: see bench_fig8_skew — SHRED vs "
       "SHRED_SKEW at skew 2 and 4)\n");

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Documentation consistency gate, run by ci/sanitize.sh and ci/tsan.sh (or
-# standalone). Two checks:
+# standalone). Three checks:
 #
 #  1. Markdown link check: every relative link target referenced from the
 #     top-level docs and docs/*.md must exist in the tree (external http(s)
@@ -9,6 +9,10 @@
 #     (runtime::ClusterConfig, runtime::FaultConfig, runtime::spill::
 #     SpillConfig, exec::ExecOptions) must be mentioned by name somewhere in
 #     the documentation, so adding a knob without documenting it fails CI.
+#  3. Counter-table check: every row of the TRANCE_STAGE_COUNTERS table
+#     (src/runtime/stage_counters.h) must appear as a backticked table row
+#     (a line starting "| `name` |") in docs/METRICS.md, so a new counter
+#     cannot ship undocumented.
 #
 # Usage: ci/check_docs.sh
 set -euo pipefail
@@ -62,8 +66,22 @@ check_struct src/runtime/fault.h FaultConfig
 check_struct src/runtime/spill.h SpillConfig
 check_struct src/exec/lowering.h ExecOptions
 
+# --- 3. counter-table rows must be METRICS.md table rows ----------------
+counters=$(grep -oE '^\s*X\([a-z_0-9]+,' src/runtime/stage_counters.h |
+           sed -E 's/^\s*X\(//; s/,$//')
+if [ -z "$counters" ]; then
+  echo "NO COUNTER ROWS found in src/runtime/stage_counters.h"
+  fail=1
+fi
+for c in $counters; do
+  if ! grep -qF "| \`$c\` |" docs/METRICS.md; then
+    echo "UNDOCUMENTED COUNTER: $c (TRANCE_STAGE_COUNTERS row) has no \`$c\` table row in docs/METRICS.md"
+    fail=1
+  fi
+done
+
 if [ "$fail" -ne 0 ]; then
   echo "check_docs: FAILED"
   exit 1
 fi
-echo "check_docs: OK (${#DOCS[@]} docs, links + option-struct coverage)"
+echo "check_docs: OK (${#DOCS[@]} docs, links + option-struct + counter-table coverage)"

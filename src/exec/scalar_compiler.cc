@@ -158,12 +158,6 @@ StatusOr<runtime::CellPredFn> CompileCellPredicate(
   });
 }
 
-StatusOr<ScalarFn> CompileScalar(const nrc::ExprPtr& e,
-                                 const runtime::Schema& schema) {
-  TRANCE_ASSIGN_OR_RETURN(CellScalarFn f, Compile(e, schema));
-  return ScalarFn([f](const runtime::Row& r) { return f(CellRow(r)); });
-}
-
 StatusOr<nrc::TypePtr> ScalarResultType(const nrc::ExprPtr& e,
                                         const runtime::Schema& schema) {
   using K = Expr::Kind;
@@ -193,14 +187,6 @@ StatusOr<nrc::TypePtr> ScalarResultType(const nrc::ExprPtr& e,
     default:
       return Status::NotImplemented("no static type for this expression kind");
   }
-}
-
-StatusOr<std::function<bool(const runtime::Row&)>> CompilePredicate(
-    const nrc::ExprPtr& e, const runtime::Schema& schema) {
-  TRANCE_ASSIGN_OR_RETURN(runtime::CellPredFn f,
-                          CompileCellPredicate(e, schema));
-  return std::function<bool(const runtime::Row&)>(
-      [f](const runtime::Row& r) { return f(CellRow(r)); });
 }
 
 }  // namespace exec

@@ -2,13 +2,10 @@
 // are column names) into closures over a cell accessor (runtime::CellRow,
 // `Field Get(size_t)`), with SQL-style NULL propagation: NULL operands make
 // arithmetic NULL and comparisons false. NewLabel expressions evaluate to
-// runtime labels. The fused-stage runner evaluates the cell closures
-// directly on cell references; CompileScalar / CompilePredicate are thin
-// adapters over a runtime::Row.
+// runtime labels. The fused-stage runner evaluates the closures directly
+// on cell references.
 #ifndef TRANCE_EXEC_SCALAR_COMPILER_H_
 #define TRANCE_EXEC_SCALAR_COMPILER_H_
-
-#include <functional>
 
 #include "nrc/expr.h"
 #include "runtime/field.h"
@@ -19,8 +16,6 @@
 namespace trance {
 namespace exec {
 
-using ScalarFn = std::function<runtime::Field(const runtime::Row&)>;
-
 /// Compiles `e` against `schema` into a closure over a row's cells; fails if
 /// a referenced column is missing or a node kind has no row-level meaning.
 StatusOr<runtime::CellScalarFn> CompileCellScalar(
@@ -30,17 +25,9 @@ StatusOr<runtime::CellScalarFn> CompileCellScalar(
 StatusOr<runtime::CellPredFn> CompileCellPredicate(
     const nrc::ExprPtr& e, const runtime::Schema& schema);
 
-/// CompileCellScalar evaluated on a Row.
-StatusOr<ScalarFn> CompileScalar(const nrc::ExprPtr& e,
-                                 const runtime::Schema& schema);
-
 /// Static result type of a compiled scalar expression.
 StatusOr<nrc::TypePtr> ScalarResultType(const nrc::ExprPtr& e,
                                         const runtime::Schema& schema);
-
-/// CompileCellPredicate evaluated on a Row.
-StatusOr<std::function<bool(const runtime::Row&)>> CompilePredicate(
-    const nrc::ExprPtr& e, const runtime::Schema& schema);
 
 }  // namespace exec
 }  // namespace trance

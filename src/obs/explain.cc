@@ -116,7 +116,6 @@ void AppendCounterClauses(const runtime::StageCounters& c,
     for (const runtime::CounterDesc& d : runtime::kStageCounters) {
       if (static_cast<size_t>(d.group) != g) continue;
       const uint64_t v = c.*d.field;
-      if (d.show == runtime::ExplainShow::kCountIfNonzero && v == 0) continue;
       if (bare || !first) *os << " ";
       *os << d.label << "="
           << (d.show == runtime::ExplainShow::kBytes ? FormatBytes(v)

@@ -146,37 +146,20 @@ PartitionBlock PartitionBlock::FromRows(const Schema& schema,
   return b;
 }
 
-void PartitionBlock::DemoteToRagged() {
-  std::vector<Row> rows;
-  rows.reserve(num_rows_);
-  for (size_t i = 0; i < num_rows_; ++i) {
-    Row r;
-    r.fields.reserve(cols_.size());
-    for (const auto& c : cols_) r.fields.push_back(c.At(i));
-    rows.push_back(std::move(r));
-  }
-  ragged_ = std::move(rows);
-  ragged_mode_ = true;
-  cols_.clear();
-  num_rows_ = 0;
-}
-
 void PartitionBlock::AppendRow(const Row& r) {
-  if (!ragged_mode_ && r.fields.size() != cols_.size()) DemoteToRagged();
-  if (ragged_mode_) {
-    ragged_.push_back(r);
-    return;
-  }
+  TRANCE_CHECK(r.fields.size() == cols_.size(),
+               "PartitionBlock::AppendRow: row width " +
+                   std::to_string(r.fields.size()) + " != schema width " +
+                   std::to_string(cols_.size()));
   for (size_t c = 0; c < cols_.size(); ++c) cols_[c].Append(r.fields[c]);
   ++num_rows_;
 }
 
 void PartitionBlock::AppendRowFrom(const PartitionBlock& src, size_t i) {
-  if (ragged_mode_ || src.ragged_mode_ ||
-      src.cols_.size() != cols_.size()) {
-    AppendRow(src.RowAt(i));
-    return;
-  }
+  TRANCE_CHECK(src.cols_.size() == cols_.size(),
+               "PartitionBlock::AppendRowFrom: source width " +
+                   std::to_string(src.cols_.size()) + " != schema width " +
+                   std::to_string(cols_.size()));
   for (size_t c = 0; c < cols_.size(); ++c) {
     cols_[c].AppendFrom(src.cols_[c], i);
   }
@@ -184,7 +167,6 @@ void PartitionBlock::AppendRowFrom(const PartitionBlock& src, size_t i) {
 }
 
 Row PartitionBlock::RowAt(size_t i) const {
-  if (ragged_mode_) return ragged_[i];
   Row r;
   r.fields.reserve(cols_.size());
   for (const auto& c : cols_) r.fields.push_back(c.At(i));
@@ -192,12 +174,10 @@ Row PartitionBlock::RowAt(size_t i) const {
 }
 
 Field PartitionBlock::FieldAt(size_t row, size_t col) const {
-  if (ragged_mode_) return ragged_[row].fields[col];
   return cols_[col].At(row);
 }
 
 bool PartitionBlock::IsNull(size_t row, size_t col) const {
-  if (ragged_mode_) return ragged_[row].fields[col].is_null();
   return cols_[col].IsNull(row);
 }
 
@@ -214,7 +194,6 @@ void PartitionBlock::AppendRowsTo(std::vector<Row>* out) const {
 }
 
 uint64_t PartitionBlock::RowBytesAt(size_t i) const {
-  if (ragged_mode_) return RowDeepSize(ragged_[i]);
   uint64_t s = 8;  // RowDeepSize row overhead
   for (const auto& c : cols_) s += c.CellBytes(i);
   return s;
@@ -228,7 +207,6 @@ uint64_t PartitionBlock::TotalRowBytes() const {
 }
 
 uint64_t PartitionBlock::HashRowOn(size_t i, const std::vector<int>& cols) const {
-  if (ragged_mode_) return RowHashOn(ragged_[i], cols);
   // Identical combine to field.cc RowHashOn (commutative sum of finalized
   // per-column hashes).
   uint64_t h = 0x5EED;
@@ -241,11 +219,6 @@ uint64_t PartitionBlock::HashRowOn(size_t i, const std::vector<int>& cols) const
 }
 
 uint64_t PartitionBlock::ByteFootprint() const {
-  if (ragged_mode_) {
-    uint64_t s = ragged_.capacity() * sizeof(Row);
-    for (const auto& r : ragged_) s += RowDeepSize(r);
-    return s;
-  }
   uint64_t s = 0;
   for (const auto& c : cols_) s += c.ByteFootprint();
   return s;

@@ -212,9 +212,10 @@ class AnyColumn {
 
 /// One partition in columnar form. Constructed from a Schema (column kinds
 /// derive from the declared NRC types) and filled row-by-row or from an
-/// existing std::vector<Row>. Rows whose width disagrees with the schema
-/// demote the whole block to a ragged row-vector fallback, so the block is
-/// lossless for any input the row path accepts.
+/// existing std::vector<Row>. Every row has the schema's width: a row of
+/// another width is an engine bug (TRANCE_CHECK), since the boundaries that
+/// take outside rows (Source, SourcePartitioned, the spill reader) reject
+/// it with a Status first.
 class PartitionBlock {
  public:
   PartitionBlock() = default;
@@ -224,15 +225,13 @@ class PartitionBlock {
                                  const std::vector<Row>& rows);
 
   void AppendRow(const Row& r);
-  /// Column-wise copy of row i of src. Falls back to AppendRow when either
-  /// block is ragged or the widths differ.
+  /// Column-wise copy of row i of src, a block of the same width.
   void AppendRowFrom(const PartitionBlock& src, size_t i);
   /// Column-wise bulk append of n rows: fill(c, &column) appends exactly n
-  /// cells to column c. Only for a non-ragged block; column order does not
-  /// matter, since each column grows independently of the others.
+  /// cells to column c. Column order does not matter, since each column
+  /// grows independently of the others.
   template <typename Fill>
   void AppendColumns(size_t n, Fill&& fill) {
-    TRANCE_CHECK(!ragged_mode_, "PartitionBlock::AppendColumns: ragged block");
     for (size_t c = 0; c < cols_.size(); ++c) {
       fill(c, &cols_[c]);
       TRANCE_CHECK(cols_[c].size() == num_rows_ + n,
@@ -241,12 +240,12 @@ class PartitionBlock {
     num_rows_ += n;
   }
 
-  size_t NumRows() const { return ragged_mode_ ? ragged_.size() : num_rows_; }
+  size_t NumRows() const { return num_rows_; }
   size_t NumCols() const { return cols_.size(); }
 
   /// Materializes row i; bit-identical to the row appended.
   Row RowAt(size_t i) const;
-  /// Materializes cell (row, col). Valid in ragged mode too.
+  /// Materializes cell (row, col).
   Field FieldAt(size_t row, size_t col) const;
   bool IsNull(size_t row, size_t col) const;
 
@@ -265,20 +264,11 @@ class PartitionBlock {
   /// Field accounting); feeds the columnar_bytes counter.
   uint64_t ByteFootprint() const;
 
-  bool ragged() const { return ragged_mode_; }
   const AnyColumn& col(size_t i) const { return cols_[i]; }
-  /// Row i of a ragged block, borrowed (valid only when ragged()).
-  const Row& ragged_row(size_t i) const { return ragged_[i]; }
 
  private:
-  void DemoteToRagged();
-
   std::vector<AnyColumn> cols_;
   size_t num_rows_ = 0;
-  // Fallback for rows whose width disagrees with the schema (width changes
-  // mid-pipeline are legal in the row path, e.g. between fused stage steps).
-  bool ragged_mode_ = false;
-  std::vector<Row> ragged_;
 };
 
 }  // namespace column

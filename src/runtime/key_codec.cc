@@ -120,7 +120,6 @@ StatusOr<EncodedKeyView> KeyEncoder::EncodeRow(const Row& row) {
 StatusOr<EncodedKeyView> KeyEncoder::EncodeAt(
     const column::PartitionBlock& block, size_t i,
     const std::vector<int>& cols) {
-  if (block.ragged()) return Encode(block.ragged_row(i), cols);
   Begin();
   for (int c : cols) {
     TRANCE_RETURN_NOT_OK(Append(block.FieldAt(i, static_cast<size_t>(c))));
@@ -130,7 +129,6 @@ StatusOr<EncodedKeyView> KeyEncoder::EncodeAt(
 
 StatusOr<EncodedKeyView> KeyEncoder::EncodeRowAt(
     const column::PartitionBlock& block, size_t i) {
-  if (block.ragged()) return EncodeRow(block.ragged_row(i));
   Begin();
   for (size_t c = 0; c < block.NumCols(); ++c) {
     TRANCE_RETURN_NOT_OK(Append(block.FieldAt(i, c)));

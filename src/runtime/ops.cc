@@ -186,11 +186,10 @@ StatusOr<ShuffledParts> ShuffleByKey(Cluster* cluster, const Dataset& in,
   // exceed the spill threshold writes one run per non-empty source bucket
   // (clearing the bucket as it goes), then stream-merges the runs back in
   // fixed source order straight into the resident output block — the
-  // identical row sequence the in-memory concatenation produces (each
-  // block-record row counts into rowify_avoided). The spill decision and
-  // every run are pure functions of the routed bytes, and the per-target
-  // counter slots are folded in target order after the barrier, so results
-  // and stats stay thread-count-invariant.
+  // identical row sequence the in-memory concatenation produces. The spill
+  // decision and every run are pure functions of the routed bytes, and the
+  // per-target counter slots are folded in target order after the barrier,
+  // so results and stats stay thread-count-invariant.
   const bool spill_on = cluster->spill_enabled();
   const uint64_t spill_threshold = cluster->spill_threshold_bytes();
   std::vector<spill::SpillCounters> spill_slots(n);
@@ -411,16 +410,34 @@ Status LocalJoin(const column::PartitionBlock& left,
 // Stage barrier shared with the fused-stage runner.
 using detail::FinishStage;
 
+/// Source-boundary check: every input row must have the schema's width
+/// (blocks hold schema-width rows only). Runs before any row is hashed or
+/// appended.
+Status CheckSourceWidths(const std::string& op, const Schema& schema,
+                         const std::vector<Row>& rows) {
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (rows[i].fields.size() != schema.size()) {
+      return Status::Invalid(op + ": row " + std::to_string(i) +
+                             " has width " +
+                             std::to_string(rows[i].fields.size()) +
+                             ", schema has width " +
+                             std::to_string(schema.size()));
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 StatusOr<Dataset> Source(Cluster* cluster, Schema schema,
                          std::vector<Row> rows, const std::string& name) {
   const size_t n = static_cast<size_t>(cluster->num_partitions());
+  StageStats stage;
+  stage.op = "source(" + name + ")";
+  TRANCE_RETURN_NOT_OK(CheckSourceWidths(stage.op, schema, rows));
   Dataset ds;
   ds.schema = std::move(schema);
   ds.partitioning = Partitioning::None();
-  StageStats stage;
-  stage.op = "source(" + name + ")";
   // Sources land block-resident: the driver appends each row to its
   // round-robin partition block, so downstream stages start from columns
   // without a packing step. Driver-sequential, so the footprint charge is
@@ -445,10 +462,11 @@ StatusOr<Dataset> SourcePartitioned(Cluster* cluster, Schema schema,
                                     std::vector<int> key_cols,
                                     const std::string& name) {
   const size_t n = static_cast<size_t>(cluster->num_partitions());
-  Dataset ds;
-  ds.schema = std::move(schema);
   StageStats stage;
   stage.op = "source_partitioned(" + name + ")";
+  TRANCE_RETURN_NOT_OK(CheckSourceWidths(stage.op, schema, rows));
+  Dataset ds;
+  ds.schema = std::move(schema);
   ds.store.InitBlocks(n, ds.schema);
   for (const auto& row : rows) {
     int target = cluster->PartitionOf(key_codec::KeyHashOn(row, key_cols));
@@ -462,31 +480,6 @@ StatusOr<Dataset> SourcePartitioned(Cluster* cluster, Schema schema,
   stage.rows_out = ds.NumRows();
   cluster->RecordStage(std::move(stage));
   return ds;
-}
-
-StatusOr<Dataset> MapRows(Cluster* cluster, const Dataset& in,
-                          Schema out_schema, const MapFn& fn,
-                          const std::string& name, bool preserves_partitioning,
-                          Partitioning out_partitioning) {
-  return RunStagePipeline(
-      cluster, in, std::move(out_schema), {RowTransform::Map(name, fn)},
-      preserves_partitioning ? in.partitioning : std::move(out_partitioning),
-      name);
-}
-
-StatusOr<Dataset> FilterRows(Cluster* cluster, const Dataset& in,
-                             const PredFn& pred, const std::string& name) {
-  return RunStagePipeline(cluster, in, in.schema,
-                          {RowTransform::Filter(name, pred)}, in.partitioning,
-                          name);
-}
-
-StatusOr<Dataset> FlatMapRows(Cluster* cluster, const Dataset& in,
-                              Schema out_schema, const FlatMapFn& fn,
-                              const std::string& name) {
-  return RunStagePipeline(cluster, in, std::move(out_schema),
-                          {RowTransform::FlatMap(name, fn)},
-                          Partitioning::None(), name);
 }
 
 StatusOr<Dataset> Repartition(Cluster* cluster, const Dataset& in,

@@ -21,38 +21,25 @@
 namespace trance {
 namespace runtime {
 
-// MapFn / FlatMapFn / PredFn live in runtime/stage_pipeline.h: the narrow
-// operators below are single-transform chains of the fused-stage runner, so
-// the fused and standalone paths share one implementation.
+// The narrow operators below (Unnest, OuterUnnest, AddIndexColumn) are
+// single-transform chains of the fused-stage runner (runtime/stage_pipeline.h),
+// so the fused and standalone paths share one implementation.
 
 enum class JoinType { kInner, kLeftOuter };
 
 /// Creates a dataset from local rows, distributed round-robin (no
-/// partitioning guarantee — like a freshly read input).
+/// partitioning guarantee — like a freshly read input). A row whose width is
+/// not the schema's fails the whole source with Invalid.
 StatusOr<Dataset> Source(Cluster* cluster, Schema schema,
                          std::vector<Row> rows, const std::string& name);
 
 /// Creates a dataset partitioned by `key_cols` (pre-partitioned input, e.g.
-/// the materialized output of a previous query step).
+/// the materialized output of a previous query step). Rejects rows of the
+/// wrong width like Source.
 StatusOr<Dataset> SourcePartitioned(Cluster* cluster, Schema schema,
                                     std::vector<Row> rows,
                                     std::vector<int> key_cols,
                                     const std::string& name);
-
-/// Row-wise map. `preserves_partitioning` keeps the input guarantee (caller
-/// asserts the key columns survive at the same indexes).
-StatusOr<Dataset> MapRows(Cluster* cluster, const Dataset& in,
-                          Schema out_schema, const MapFn& fn,
-                          const std::string& name,
-                          bool preserves_partitioning = false,
-                          Partitioning out_partitioning = Partitioning::None());
-
-StatusOr<Dataset> FilterRows(Cluster* cluster, const Dataset& in,
-                             const PredFn& pred, const std::string& name);
-
-StatusOr<Dataset> FlatMapRows(Cluster* cluster, const Dataset& in,
-                              Schema out_schema, const FlatMapFn& fn,
-                              const std::string& name);
 
 /// Hash-shuffles `in` on `key_cols`. No-op (zero movement) when the guarantee
 /// already holds.

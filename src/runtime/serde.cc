@@ -401,11 +401,10 @@ namespace {
 
 using Kind = column::AnyColumn::Kind;
 
-void AppendBlockHeader(size_t ncols, size_t rows, bool ragged,
-                       std::string* out) {
+void AppendBlockHeader(size_t ncols, size_t rows, std::string* out) {
   AppendU32(static_cast<uint32_t>(ncols), out);
   AppendU64(rows, out);
-  AppendU8(ragged ? 1 : 0, out);
+  AppendU8(0, out);  // flag byte: always 0 (readers reject anything else)
 }
 
 /// The kind a fresh column of kind `start` ends in after AnyColumn::Append
@@ -520,16 +519,7 @@ void AppendColumnSlice(const column::AnyColumn& col, Kind kind, size_t begin,
 void AppendBlockPayload(const column::PartitionBlock& block,
                         std::string* out) {
   const size_t rows = block.NumRows();
-  if (block.ragged()) {
-    AppendBlockHeader(0, rows, true, out);  // num_cols = 0: row fallback
-    for (size_t i = 0; i < rows; ++i) {
-      Row r = block.RowAt(i);
-      AppendU32(static_cast<uint32_t>(r.fields.size()), out);
-      for (const Field& f : r.fields) AppendField(f, out);
-    }
-    return;
-  }
-  AppendBlockHeader(block.NumCols(), rows, false, out);
+  AppendBlockHeader(block.NumCols(), rows, out);
   for (size_t c = 0; c < block.NumCols(); ++c) {
     AppendColumnSlice(block.col(c), block.col(c).kind(), 0, rows, out);
   }
@@ -538,15 +528,11 @@ void AppendBlockPayload(const column::PartitionBlock& block,
 void AppendBlockSlicePayload(const column::PartitionBlock& block,
                              const Schema& schema, size_t begin, size_t end,
                              std::string* out) {
-  if (block.ragged() || block.NumCols() != schema.size()) {
-    // Row fallback: the chunk AppendRowFrom builds may itself stay columnar
-    // or go ragged, depending on the widths inside the range.
-    column::PartitionBlock chunk(schema);
-    for (size_t i = begin; i < end; ++i) chunk.AppendRowFrom(block, i);
-    AppendBlockPayload(chunk, out);
-    return;
-  }
-  AppendBlockHeader(schema.size(), end - begin, false, out);
+  TRANCE_CHECK(block.NumCols() == schema.size(),
+               "AppendBlockSlicePayload: block width " +
+                   std::to_string(block.NumCols()) + " != schema width " +
+                   std::to_string(schema.size()));
+  AppendBlockHeader(schema.size(), end - begin, out);
   for (size_t c = 0; c < schema.size(); ++c) {
     const column::AnyColumn& col = block.col(c);
     Kind start = column::AnyColumn::KindForType(schema.columns()[c].type);
@@ -564,8 +550,8 @@ T LoadPod(const char* base, size_t i) {
   return v;
 }
 
-/// One column of a validated non-ragged block record: views into the
-/// payload for typed kinds, parsed cells for the variant kind.
+/// One column of a validated block record: views into the payload for typed
+/// kinds, parsed cells for the variant kind.
 struct ColumnView {
   uint8_t kind = 0;
   const char* null_words = nullptr;  // nullptr when the column has no NULLs
@@ -599,9 +585,7 @@ struct ColumnView {
 /// A fully validated kRecordBlock payload.
 struct BlockRecord {
   size_t nrows = 0;
-  bool ragged = false;
-  std::vector<Row> rows;          // ragged records
-  std::vector<ColumnView> cols;   // columnar records
+  std::vector<ColumnView> cols;
 };
 
 Status ParseColumn(const char* data, size_t size, size_t* pos, size_t n,
@@ -681,27 +665,21 @@ Status ParseBlockRecord(const char* data, size_t size, BlockRecord* rec) {
   size_t pos = 0;
   uint32_t ncols = 0;
   uint64_t nrows = 0;
-  uint8_t ragged = 0;
+  uint8_t flag = 0;
   TRANCE_RETURN_NOT_OK(ParsePod(data, size, &pos, &ncols, "column count"));
   TRANCE_RETURN_NOT_OK(ParsePod(data, size, &pos, &nrows, "row count"));
-  TRANCE_RETURN_NOT_OK(ParsePod(data, size, &pos, &ragged, "ragged flag"));
+  TRANCE_RETURN_NOT_OK(ParsePod(data, size, &pos, &flag, "block flag"));
+  if (flag != 0) {
+    return Status::Invalid("serde: block record has flag byte " +
+                           std::to_string(static_cast<int>(flag)) +
+                           " (must be 0): corrupt record");
+  }
   rec->nrows = static_cast<size_t>(nrows);
-  rec->ragged = ragged != 0;
-  if (rec->ragged) {
-    // Each row spends at least its width field.
-    rec->rows.reserve(std::min(rec->nrows, (size - pos) / 4));
-    for (size_t i = 0; i < rec->nrows; ++i) {
-      Row r;
-      TRANCE_RETURN_NOT_OK(ParseRow(data, size, &pos, &r));
-      rec->rows.push_back(std::move(r));
-    }
-  } else {
-    // Each column spends at least its null flag and kind byte.
-    if (ncols > (size - pos) / 2) return Truncated("column headers");
-    rec->cols.resize(ncols);
-    for (ColumnView& col : rec->cols) {
-      TRANCE_RETURN_NOT_OK(ParseColumn(data, size, &pos, rec->nrows, &col));
-    }
+  // Each column spends at least its null flag and kind byte.
+  if (ncols > (size - pos) / 2) return Truncated("column headers");
+  rec->cols.resize(ncols);
+  for (ColumnView& col : rec->cols) {
+    TRANCE_RETURN_NOT_OK(ParseColumn(data, size, &pos, rec->nrows, &col));
   }
   return CheckConsumed(pos, size);
 }
@@ -709,10 +687,6 @@ Status ParseBlockRecord(const char* data, size_t size, BlockRecord* rec) {
 /// Appends a validated record's rows to *out.
 void AppendRecordRows(BlockRecord* rec, std::vector<Row>* out) {
   out->reserve(out->size() + std::min<size_t>(rec->nrows, 1 << 20));
-  if (rec->ragged) {
-    for (Row& r : rec->rows) out->push_back(std::move(r));
-    return;
-  }
   for (size_t i = 0; i < rec->nrows; ++i) {
     Row r;
     r.fields.reserve(rec->cols.size());
@@ -721,11 +695,11 @@ void AppendRecordRows(BlockRecord* rec, std::vector<Row>* out) {
   }
 }
 
-/// Appends a validated columnar record to a non-ragged block of the same
-/// width, column by column. Typed cells go straight into a destination
-/// column of the matching kind; variant cells, and typed cells whose kind
-/// differs from the destination's, take AnyColumn::Append(Field), which
-/// replays the row path's demotion exactly.
+/// Appends a validated block record to a block of the same width, column by
+/// column. Typed cells go straight into a destination column of the matching
+/// kind; variant cells, and typed cells whose kind differs from the
+/// destination's, take AnyColumn::Append(Field), which replays the row
+/// path's demotion exactly.
 void AppendRecordColumns(BlockRecord* rec, column::PartitionBlock* out) {
   const size_t n = rec->nrows;
   out->AppendColumns(n, [&](size_t c, column::AnyColumn* dst) {
@@ -906,22 +880,32 @@ StatusOr<bool> BlockFileReader::ReadBatchInto(column::PartitionBlock* out,
   uint8_t record_kind = 0;
   TRANCE_ASSIGN_OR_RETURN(bool more, ReadRecord(&record_kind));
   if (!more) return false;
-  std::vector<Row> rows;
+  // Every check runs before the first append, so a rejected record leaves
+  // *out unchanged.
   if (record_kind == kRecordBlock) {
     BlockRecord rec;
     TRANCE_RETURN_NOT_OK(ParseBlockRecord(payload_.get(), payload_size_, &rec));
-    if (!rec.ragged && !out->ragged() && rec.cols.size() == out->NumCols()) {
-      AppendRecordColumns(&rec, out);
-    } else {
-      AppendRecordRows(&rec, &rows);
+    if (rec.cols.size() != out->NumCols()) {
+      return Status::Invalid(
+          "serde: block record has width " + std::to_string(rec.cols.size()) +
+          ", destination block has width " + std::to_string(out->NumCols()));
     }
+    AppendRecordColumns(&rec, out);
   } else {
+    std::vector<Row> rows;
     TRANCE_RETURN_NOT_OK(
         ParsePayload(record_kind, payload_.get(), payload_size_, &rows));
+    for (size_t i = 0; i < rows.size(); ++i) {
+      if (rows[i].fields.size() != out->NumCols()) {
+        return Status::Invalid(
+            "serde: row-batch record row " + std::to_string(i) +
+            " has width " + std::to_string(rows[i].fields.size()) +
+            ", destination block has width " +
+            std::to_string(out->NumCols()));
+      }
+    }
+    for (const Row& r : rows) out->AppendRow(r);
   }
-  // Row fallback (row batches, ragged or width-mismatched block records):
-  // AppendRow demotes *out to ragged exactly as the in-memory path would.
-  for (const Row& r : rows) out->AppendRow(r);
   if (kind != nullptr) *kind = record_kind;
   return true;
 }

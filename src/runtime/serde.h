@@ -11,7 +11,7 @@
 //
 // Round-trip contract: every Field value the columnar path accepts — NULL,
 // int64, real (exact IEEE bit pattern, NaNs included), string, bool, label
-// (recursively), bag (recursively), plus variant and ragged block fallbacks —
+// (recursively), bag (recursively), plus the variant column fallback —
 // deserializes bit-identical to what was written. Corrupt, truncated, or
 // version-mismatched input returns a clean Status (never crashes, never
 // returns partial rows).
@@ -126,8 +126,7 @@ class BlockFileWriter {
   /// Creates/truncates `path` and writes the file header.
   Status Open(const std::string& path, size_t buffer_bytes = 64 * 1024);
 
-  /// Appends one kRecordBlock record. Ragged blocks serialize their row
-  /// fallback; columnar blocks serialize column-wise.
+  /// Appends one kRecordBlock record, serialized column-wise.
   Status WriteBlock(const column::PartitionBlock& block);
 
   /// Appends one kRecordBlock record holding rows [begin, end) of `block`,
@@ -163,15 +162,16 @@ class BlockFileReader {
 
   /// Appends the next record's rows into *out — the block-resident restore.
   /// The whole record is validated before the first cell is appended, so a
-  /// failed call leaves *out unchanged. A columnar block record whose width
-  /// matches a non-ragged *out restores column by column: typed cells go
-  /// straight into the destination's typed arrays with no Row or Field built;
-  /// variant cells and kind mismatches take AnyColumn::Append(Field). Row
-  /// batches and ragged or width-mismatched block records take per-row
-  /// AppendRow. Either way each column sees the same per-cell append
-  /// sequence as the in-memory path, so cells, RowBytesAt and ByteFootprint
-  /// equal a never-spilled block built from the same rows. `kind` as in
-  /// ReadBatch.
+  /// failed call leaves *out unchanged. A block record restores column by
+  /// column: typed cells go straight into the destination's typed arrays
+  /// with no Row or Field built; variant cells and kind mismatches take
+  /// AnyColumn::Append(Field). Row batches take per-row AppendRow. Either
+  /// way each column sees the same per-cell append sequence as the
+  /// in-memory path, so cells, RowBytesAt and ByteFootprint equal a
+  /// never-spilled block built from the same rows. A block record whose
+  /// width differs from *out's, or a row-batch row of another width, is
+  /// rejected with Invalid (as is a block record whose flag byte is not 0,
+  /// in both readers). `kind` as in ReadBatch.
   StatusOr<bool> ReadBatchInto(column::PartitionBlock* out,
                                uint8_t* kind = nullptr);
 
@@ -200,8 +200,8 @@ void AppendBlockPayload(const column::PartitionBlock& block, std::string* out);
 /// Payload of rows [begin, end) of `block`, byte-identical to
 /// AppendBlockPayload of the chunk that PartitionBlock(schema) plus
 /// AppendRowFrom of those rows would build — but encoded straight from the
-/// source columns, without building the chunk (ragged or width-mismatched
-/// sources still build it).
+/// source columns, without building the chunk. `block` must have `schema`'s
+/// width (TRANCE_CHECK).
 void AppendBlockSlicePayload(const column::PartitionBlock& block,
                              const Schema& schema, size_t begin, size_t end,
                              std::string* out);

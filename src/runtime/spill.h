@@ -69,17 +69,12 @@ struct SpillCounters {
   uint64_t bytes_read = 0;
   uint64_t runs = 0;
   uint64_t merge_passes = 0;
-  /// Rows restored from block records into a resident block
-  /// (ReadRunIntoBlock). Columnar records restore column by column, with no
-  /// Row or Field built for typed cells; ragged records hold rows natively.
-  uint64_t rowify_avoided = 0;
 
   SpillCounters& operator+=(const SpillCounters& o) {
     bytes_written += o.bytes_written;
     bytes_read += o.bytes_read;
     runs += o.runs;
     merge_passes += o.merge_passes;
-    rowify_avoided += o.rowify_avoided;
     return *this;
   }
 };
@@ -116,12 +111,11 @@ class SpillManager {
   /// when non-null, accumulates the rows that came from block records.
   Status ReadRun(const std::string& path, std::vector<Row>* out,
                  uint64_t* block_rows, SpillCounters* c);
-  /// Streams a run back into a resident block. Block records of matching
-  /// width restore column-wise (BlockFileReader::ReadBatchInto), replaying
-  /// each column's per-cell append sequence, so the block's cells and
-  /// footprint match a never-spilled block of the same rows. The on-disk
-  /// format is the unchanged v1 block record. Block-record rows count into
-  /// c->rowify_avoided.
+  /// Streams a run back into a resident block. Block records restore
+  /// column-wise (BlockFileReader::ReadBatchInto), replaying each column's
+  /// per-cell append sequence, so the block's cells and footprint match a
+  /// never-spilled block of the same rows; a record of another width fails
+  /// with Invalid. The on-disk format is the unchanged v1 block record.
   Status ReadRunIntoBlock(const std::string& path,
                           column::PartitionBlock* out, SpillCounters* c);
   /// Deletes a restored run (no-op with keep_files) and releases its budget.

@@ -72,8 +72,7 @@
     "trance_column_to_row_conversions_total",                                  \
     "rows materialized out of typed partition blocks", "rowify", kCount)       \
   /* Out-of-core spill telemetry (runtime/spill.h): bytes written to and     \
-     streamed back from run files, run files, stream-merge passes, and rows  \
-     restored column-wise from block records instead of as Row values. All   \
+     streamed back from run files, run files, and stream-merge passes. All   \
      exactly 0 when nothing spills; spilling never changes another counter.  \
   */                                                                           \
   X(spill_bytes_written, kSpill, kSum, kStage, kExact,                         \
@@ -87,10 +86,6 @@
   X(spill_merge_passes, kSpill, kSum, kStage, kExact,                          \
     "trance_spill_merge_passes_total",                                         \
     "stream-merge passes over spill runs", "merges", kCount)                   \
-  X(spill_rowify_avoided, kSpill, kSum, kStage, kExact,                        \
-    "trance_spill_rowify_avoided_total",                                       \
-    "rows restored from columnar spill records without row-form conversion",   \
-    "rowify_avoided", kCountIfNonzero)                                         \
   /* Fault-injection telemetry (runtime/fault.h): faults injected into the   \
      stage and task re-executions performed. The registry series are         \
      updated by Cluster::RunRecoverableTasks (faults are labelled by kind).  \
@@ -114,7 +109,7 @@ enum class CounterGroup {
   kFlatTable,  // flat(tbl= resizes= probe=)
   kKey,        // key_bytes= (no parentheses)
   kColumnar,   // col(blocks= rowify=)
-  kSpill,      // spill(w= r= runs= merges= [rowify_avoided=])
+  kSpill,      // spill(w= r= runs= merges=)
   kFault,      // printed with the recovery time by obs/explain.cc itself
 };
 inline constexpr size_t kNumCounterGroups =
@@ -149,9 +144,8 @@ enum class DiffPolicy {
 
 /// How EXPLAIN ANALYZE prints the value inside its group's clause.
 enum class ExplainShow {
-  kBytes,           // FormatBytes
-  kCount,           // integer
-  kCountIfNonzero,  // integer, omitted while 0
+  kBytes,  // FormatBytes
+  kCount,  // integer
 };
 
 /// One value per table row.

@@ -1,7 +1,7 @@
 #include "runtime/stage_pipeline.h"
 
 #include <algorithm>
-#include <functional>
+#include <string>
 #include <utility>
 
 namespace trance {
@@ -16,7 +16,6 @@ void NoteSpill(Cluster* cluster, StageStats* stage, const std::string& op,
   stage->spill_bytes_read += c.bytes_read;
   stage->spill_runs += c.runs;
   stage->spill_merge_passes += c.merge_passes;
-  stage->spill_rowify_avoided += c.rowify_avoided;
   obs::EventLog& log = obs::GlobalEventLog();
   if (!log.enabled()) return;
   obs::Event(&log, "spill")
@@ -28,7 +27,6 @@ void NoteSpill(Cluster* cluster, StageStats* stage, const std::string& op,
       .U64("bytes_read", c.bytes_read)
       .U64("runs", c.runs)
       .U64("merge_passes", c.merge_passes)
-      .U64("rowify_avoided", c.rowify_avoided)
       .Emit();
 }
 
@@ -82,19 +80,16 @@ namespace {
 using K = RowTransform::Kind;
 
 /// Whether the standalone form of this transform charges its emitted rows to
-/// the work meter (select/filter and add-index historically charge input
-/// only / nothing; the others charge input + output).
+/// the work meter (select and add-index historically charge input only /
+/// nothing; the others charge input + output).
 bool ChargesEmitted(K k) {
   switch (k) {
     case K::kOuterSelect:
     case K::kProject:
     case K::kUnnest:
     case K::kOuterUnnest:
-    case K::kMap:
-    case K::kFlatMap:
       return true;
     case K::kSelect:
-    case K::kFilter:
     case K::kAddIndex:
       return false;
   }
@@ -115,23 +110,11 @@ uint64_t RowBytes(const Cell* cells, size_t n) {
   return s;
 }
 
-Row BuildRow(const Cell* cells, size_t n) {
-  Row r;
-  r.fields.reserve(n);
-  for (size_t c = 0; c < n; ++c) r.fields.push_back(cells[c].Get());
-  return r;
-}
-
 /// The bag a cell holds, or nullptr when it holds no bag (a NULL BagPtr, a
 /// NULL or a scalar cell).
 const BagRows* BagOf(const Cell& cell) {
   const Field* f = cell.AsField();
   return f != nullptr && f->is_bag() ? f->AsBag().get() : nullptr;
-}
-
-void BorrowRow(const Row& r, std::vector<Cell>* cells) {
-  cells->clear();
-  for (const Field& f : r.fields) cells->push_back(Cell::Borrow(&f));
 }
 
 /// One partition's walk of a chain: the per-level scratch every emitted
@@ -172,8 +155,6 @@ class ChainWalk {
   struct Level {
     std::vector<Cell> cells;     // this transform's output row
     std::vector<Field> computed;  // computed cells (fixed size: stable)
-    Row row;                     // kMap result
-    std::vector<Row> flat_rows;  // kFlatMap results
     int64_t uid = 0;             // kOuterUnnest / kAddIndex id counter
   };
 
@@ -209,10 +190,10 @@ void ChainWalk::Emit(size_t i, const Cell* cells, size_t n, uint64_t bytes) {
 
 void ChainWalk::Output(const Cell* cells, size_t n) {
   column::PartitionBlock& block = out_->store.block(p_);
-  if (block.ragged() || n != block.NumCols()) {
-    block.AppendRow(BuildRow(cells, n));  // demotes to the ragged fallback
-    return;
-  }
+  TRANCE_CHECK(n == block.NumCols(),
+               "RunStagePipeline: chain row width " + std::to_string(n) +
+                   " != output schema width " +
+                   std::to_string(block.NumCols()));
   block.AppendColumns(1, [cells](size_t c, column::AnyColumn* col) {
     cells[c].AppendTo(col);
   });
@@ -308,22 +289,6 @@ void ChainWalk::Feed(size_t i, const Cell* in, size_t n, uint64_t in_bytes) {
       Emit(i, level.cells.data(), level.cells.size(), kUnknownBytes);
       return;
     }
-    case K::kMap:
-      level.row = t.map(BuildRow(in, n));
-      BorrowRow(level.row, &level.cells);
-      Emit(i, level.cells.data(), level.cells.size(), kUnknownBytes);
-      return;
-    case K::kFilter:
-      if (t.pred(BuildRow(in, n))) Emit(i, in, n, in_bytes);
-      return;
-    case K::kFlatMap:
-      level.flat_rows.clear();
-      t.flat_map(BuildRow(in, n), &level.flat_rows);
-      for (const Row& r : level.flat_rows) {
-        BorrowRow(r, &level.cells);
-        Emit(i, level.cells.data(), level.cells.size(), kUnknownBytes);
-      }
-      return;
   }
 }
 
@@ -354,29 +319,6 @@ RowTransform RowTransform::Project(std::string op, bool extend,
   t.op = std::move(op);
   t.extend = extend;
   t.columns = std::move(columns);
-  return t;
-}
-
-RowTransform RowTransform::Map(std::string op, MapFn fn) {  RowTransform t;
-  t.kind = Kind::kMap;
-  t.op = std::move(op);
-  t.map = std::move(fn);
-  return t;
-}
-
-RowTransform RowTransform::Filter(std::string op, PredFn fn) {
-  RowTransform t;
-  t.kind = Kind::kFilter;
-  t.op = std::move(op);
-  t.pred = std::move(fn);
-  return t;
-}
-
-RowTransform RowTransform::FlatMap(std::string op, FlatMapFn fn) {
-  RowTransform t;
-  t.kind = Kind::kFlatMap;
-  t.op = std::move(op);
-  t.flat_map = std::move(fn);
   return t;
 }
 
@@ -443,12 +385,12 @@ StatusOr<Dataset> RunStagePipeline(Cluster* cluster, const Dataset& in,
   std::vector<std::vector<uint64_t>> transform_rows(
       nparts, std::vector<uint64_t>(len, 0));
 
-  // One cell walk: block inputs feed block cells (ragged blocks feed cells
-  // borrowing the row's Fields), and the output appends column to column
-  // into the partition's resident block. Blocks are lossless and every byte
-  // charge is the Field accounting of the identical values, so each stat
-  // matches the row-level definition bit-for-bit. No row is materialized on
-  // the way (column_to_row_conversions in docs/METRICS.md).
+  // One cell walk: block inputs feed block cells, and the output appends
+  // column to column into the partition's resident block. Blocks are
+  // lossless and every byte charge is the Field accounting of the identical
+  // values, so each stat matches the row-level definition bit-for-bit. No
+  // row is materialized on the way (column_to_row_conversions in
+  // docs/METRICS.md).
   auto task = [&](size_t p) {
     // The walk's per-level id counters reproduce the standalone operators'
     // uid scheme exactly: ids depend only on the partition and the row
@@ -456,35 +398,19 @@ StatusOr<Dataset> RunStagePipeline(Cluster* cluster, const Dataset& in,
     // so a recovery re-execution restarts them from zero).
     ChainWalk walk(chain, p, charge_final, &out);
     uint64_t in_work = 0;
+    const column::PartitionBlock& block = in.store.block(p);
     std::vector<Cell> cells;
-    auto feed_row = [&](const Row& row) {
-      BorrowRow(row, &cells);
+    for (size_t c = 0; c < block.NumCols(); ++c) {
+      cells.push_back(Cell::Block(&block.col(c), 0));
+    }
+    for (size_t r = 0; r < block.NumRows(); ++r) {
+      for (Cell& cell : cells) cell.row = r;
       uint64_t bytes = kUnknownBytes;
       if (charge_input) {
-        bytes = RowDeepSize(row);
+        bytes = block.RowBytesAt(r);
         in_work += bytes;
       }
       walk.Feed(0, cells.data(), cells.size(), bytes);
-    };
-    const column::PartitionBlock& block = in.store.block(p);
-    if (block.ragged()) {
-      for (size_t r = 0; r < block.NumRows(); ++r) {
-        feed_row(block.ragged_row(r));
-      }
-    } else {
-      cells.clear();
-      for (size_t c = 0; c < block.NumCols(); ++c) {
-        cells.push_back(Cell::Block(&block.col(c), 0));
-      }
-      for (size_t r = 0; r < block.NumRows(); ++r) {
-        for (Cell& cell : cells) cell.row = r;
-        uint64_t bytes = kUnknownBytes;
-        if (charge_input) {
-          bytes = block.RowBytesAt(r);
-          in_work += bytes;
-        }
-        walk.Feed(0, cells.data(), cells.size(), bytes);
-      }
     }
     rows_in[p] = in.store.RowCount(p);
     work[p] = in_work + walk.work;

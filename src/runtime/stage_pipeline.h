@@ -1,8 +1,7 @@
 // Fused narrow-stage execution over cell references.
 //
 // A RowTransform is one partition-local ("narrow") operator: select,
-// outer-select, project/extend, unnest, outer-unnest or add-index, plus the
-// opaque Row-closure steps of the MapRows/FilterRows/FlatMapRows API.
+// outer-select, project/extend, unnest, outer-unnest or add-index.
 // RunStagePipeline runs a *chain* of transforms as one stage: every input
 // row is fed through the whole chain in a single per-partition pass, so
 // nothing between two narrow operators is ever materialized as a Dataset —
@@ -12,22 +11,21 @@
 //
 // Rows flow through the chain as *cell references*, not Rows. A Cell is
 // either a resident block cell (column, row) or a borrowed `const Field*`:
-// a field of a ragged block row or of a bag element; a value a transform computed into its per-level scratch (stable
-// for the downstream walk of the row that produced it); or a shared NULL.
-// Structured transforms are pass-through column indices plus compiled
-// computed columns (scalar expressions compiled against the CellRow
-// accessor), so a chain of them over a block-resident input builds no Row:
-// select tests a predicate on the cells, project/extend rearrange cell
+// a field of a bag element; a value a transform computed into its
+// per-level scratch (stable for the downstream walk of the row that
+// produced it); or a shared NULL. Every transform is structured:
+// pass-through column indices plus compiled computed columns (scalar
+// expressions compiled against the CellRow accessor), so a chain builds no
+// Row: select tests a predicate on the cells, project/extend rearrange cell
 // references, unnest borrows the bag's inner fields, and the last step
-// appends column to column (typed AnyColumn::AppendFrom copies for block
-// cells, Append(Field) for borrowed ones). Only the opaque closure steps
-// and ragged output (a width the output block's schema does not have) build
-// Rows.
+// appends column to column into the output block, whose schema width every
+// output row has (typed AnyColumn::AppendFrom copies for block cells,
+// Append(Field) for borrowed ones).
 //
-// The standalone bulk operators (MapRows, FilterRows, FlatMapRows, Unnest,
-// OuterUnnest, AddIndexColumn in runtime/ops.cc) are single-transform
-// chains of the same runner, so the fused and standalone paths share one
-// implementation and one stats discipline.
+// The standalone bulk operators (Unnest, OuterUnnest, AddIndexColumn in
+// runtime/ops.cc) are single-transform chains of the same runner, so the
+// fused and standalone paths share one implementation and one stats
+// discipline.
 //
 // Stats contract:
 //  - A single-transform chain records a StageStats bit-identical to the
@@ -111,27 +109,19 @@ struct Cell {
 };
 
 /// Read access to one row's cells; the accessor compiled scalar expressions
-/// evaluate against. Wraps either a cell array (the fused runner) or a Row
-/// (the Row adapters of exec/scalar_compiler.h).
+/// evaluate against.
 class CellRow {
  public:
   CellRow(const Cell* cells, size_t n) : cells_(cells), n_(n) {}
-  explicit CellRow(const Row& row) : row_(&row), n_(row.fields.size()) {}
 
   size_t size() const { return n_; }
-  Field Get(size_t i) const {
-    return row_ != nullptr ? row_->fields[i] : cells_[i].Get();
-  }
+  Field Get(size_t i) const { return cells_[i].Get(); }
 
  private:
   const Cell* cells_ = nullptr;
-  const Row* row_ = nullptr;
   size_t n_ = 0;
 };
 
-using MapFn = std::function<Row(const Row&)>;
-using FlatMapFn = std::function<void(const Row&, std::vector<Row>*)>;
-using PredFn = std::function<bool(const Row&)>;
 using CellScalarFn = std::function<Field(const CellRow&)>;
 using CellPredFn = std::function<bool(const CellRow&)>;
 
@@ -142,9 +132,8 @@ struct ProjectColumn {
   CellScalarFn fn;
 };
 
-/// One narrow operator, runnable standalone or fused. Select, outer-select,
-/// project and the bag steps are structured (they run on cell references);
-/// kMap/kFilter/kFlatMap are opaque Row closures and build a Row per input.
+/// One narrow operator, runnable standalone or fused; every kind runs on
+/// cell references.
 struct RowTransform {
   enum class Kind {
     kSelect,
@@ -153,12 +142,9 @@ struct RowTransform {
     kUnnest,
     kOuterUnnest,
     kAddIndex,
-    kMap,
-    kFilter,
-    kFlatMap,
   };
 
-  Kind kind = Kind::kMap;
+  Kind kind = Kind::kSelect;
   /// Display name of the operator (e.g. "select", "project.h"); becomes the
   /// stage op for single-transform chains and a fused_transforms entry
   /// otherwise.
@@ -176,18 +162,12 @@ struct RowTransform {
   int bag_col = -1;         // kUnnest / kOuterUnnest
   bool with_id = false;     // kOuterUnnest: prepend a unique id column
   size_t inner_width = 0;   // kOuterUnnest: NULL pad width for empty bags
-  MapFn map;                // kMap
-  PredFn pred;              // kFilter
-  FlatMapFn flat_map;       // kFlatMap
 
   static RowTransform Select(std::string op, CellPredFn pred);
   static RowTransform OuterSelect(std::string op, CellPredFn pred,
                                   std::vector<bool> keep);
   static RowTransform Project(std::string op, bool extend,
                               std::vector<ProjectColumn> columns);
-  static RowTransform Map(std::string op, MapFn fn);
-  static RowTransform Filter(std::string op, PredFn fn);
-  static RowTransform FlatMap(std::string op, FlatMapFn fn);
   static RowTransform Unnest(std::string op, int bag_col);
   static RowTransform OuterUnnest(std::string op, int bag_col, bool with_id,
                                   size_t inner_width);
@@ -195,8 +175,9 @@ struct RowTransform {
 };
 
 /// Runs `chain` (non-empty) over `in` as one fused stage. `out_schema` is the
-/// schema after the whole chain; `out_partitioning` the guarantee the caller
-/// derived for the chain's output. `stage_name` is the recorded op and the
+/// schema after the whole chain (a chain row of another width is an engine
+/// bug: TRANCE_CHECK); `out_partitioning` the guarantee the caller derived
+/// for the chain's output. `stage_name` is the recorded op and the
 /// name memory-cap failures report.
 StatusOr<Dataset> RunStagePipeline(Cluster* cluster, const Dataset& in,
                                    Schema out_schema,

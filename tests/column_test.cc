@@ -6,8 +6,7 @@
 // column to the variant fallback) survive FromRows -> RowAt / ToRows
 // byte-identically, and the block's accounting mirrors the row path
 // exactly: CellHash == Field::Hash, CellBytes == Field::DeepSize,
-// RowBytesAt == RowDeepSize, HashRowOn == RowHashOn. Width-changing rows
-// demote the block to the ragged fallback without losing anything.
+// RowBytesAt == RowDeepSize, HashRowOn == RowHashOn.
 //
 // Part 2 — the satellite APIs: the column-wise KeyEncoder
 // Begin/Append/Finish produces byte- and hash-identical keys to
@@ -113,7 +112,7 @@ TEST(ColumnBlockTest, RandomizedRoundTripAndAccounting) {
     std::vector<Row> rows = RandomRows(&rng, 500, schema.size());
     PartitionBlock block = PartitionBlock::FromRows(schema, rows);
     ASSERT_EQ(block.NumRows(), rows.size());
-    EXPECT_FALSE(block.ragged());
+    EXPECT_EQ(block.NumCols(), schema.size());
 
     ExpectRowsEqual(block.ToRows(), rows);
     const std::vector<int> all_cols{0, 1, 2, 3, 4};
@@ -166,21 +165,6 @@ TEST(ColumnBlockTest, TypeMismatchDemotesToVariantLosslessly) {
   EXPECT_EQ(block.FieldAt(0, 0), Field::Int(1));
   EXPECT_EQ(block.FieldAt(1, 0), Field::Int(2));
   EXPECT_EQ(block.FieldAt(2, 0), Field::Str("not an int"));
-}
-
-TEST(ColumnBlockTest, WidthMismatchDemotesToRaggedLosslessly) {
-  Schema schema({{"a", nrc::Type::Int()}, {"b", nrc::Type::Int()}});
-  std::vector<Row> rows;
-  rows.push_back(Row({Field::Int(1), Field::Int(2)}));
-  rows.push_back(Row({Field::Int(3)}));  // width change mid-pipeline
-  rows.push_back(Row({Field::Int(4), Field::Int(5), Field::Int(6)}));
-  PartitionBlock block = PartitionBlock::FromRows(schema, rows);
-  EXPECT_TRUE(block.ragged());
-  ExpectRowsEqual(block.ToRows(), rows);
-  for (size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_EQ(block.RowBytesAt(i), runtime::RowDeepSize(rows[i]));
-    EXPECT_EQ(block.HashRowOn(i, {0}), runtime::RowHashOn(rows[i], {0}));
-  }
 }
 
 TEST(ColumnBlockTest, AppendRowFromMatchesAppendRow) {
@@ -344,8 +328,8 @@ TEST(PartitionStoreTest, RowsBlocksRoundTrip) {
   // The storage under Dataset: a row sequence appended to a partition's
   // block is served back identically through every accessor — RowCount,
   // RowAt, MaterializeRows, PartitionRowBytes (== the RowDeepSize sum) —
-  // including empty partitions and rows that force the variant and ragged
-  // block fallbacks (RandomRows mixes types and NULLs deliberately).
+  // including empty partitions and rows that force the variant column
+  // fallback (RandomRows mixes types and NULLs deliberately).
   Rng rng(11);
   Schema schema = MixedSchema();
   const size_t nparts = 5;
@@ -374,15 +358,15 @@ TEST(PartitionStoreTest, RowsBlocksRoundTrip) {
     // Clear empties the partition back to a schema-typed block.
     store.Clear(p);
     EXPECT_EQ(store.RowCount(p), 0u);
-    EXPECT_FALSE(store.block(p).ragged());
+    EXPECT_EQ(store.block(p).NumCols(), schema.size());
   }
 }
 
 TEST(PartitionStoreTest, ByteAccountingParityBlockVsRow) {
   // Dataset::PartitionBytes / DeepSizeBytes report the RowDeepSize sums of
   // the rows the blocks hold (RowBytesAt mirrors RowDeepSize cell by cell),
-  // at any thread count. Randomized over the full Field-kind mix,
-  // variant/ragged demotions included.
+  // at any thread count. Randomized over the full Field-kind mix, variant
+  // column demotions included.
   Rng rng(12);
   Schema schema = MixedSchema();
   const size_t nparts = 6;

@@ -1,6 +1,6 @@
 // Tests for the exec layer: the scalar expression compiler (NULL
-// propagation, label construction, the cell accessor against the Row
-// adapter), the value<->row bridge round-trips, and
+// propagation, label construction, block cells against borrowed cells), the
+// value<->row bridge round-trips, and
 // executor-level behaviours (broadcast threshold, program registry).
 #include <gtest/gtest.h>
 
@@ -17,7 +17,7 @@ namespace trance {
 namespace {
 
 using namespace nrc::dsl;
-using exec::CompileScalar;
+using exec::CompileCellScalar;
 using exec::ScalarResultType;
 using nrc::Expr;
 using nrc::Type;
@@ -33,63 +33,70 @@ Schema TestSchema() {
                  {"flag", Type::Bool()}});
 }
 
+/// Evaluates a compiled cell closure over cells borrowing `row`'s Fields.
+Field Eval(const runtime::CellScalarFn& fn, const Row& row) {
+  std::vector<runtime::Cell> cells;
+  for (const Field& f : row.fields) cells.push_back(runtime::Cell::Borrow(&f));
+  return fn(runtime::CellRow(cells.data(), cells.size()));
+}
+
 TEST(ScalarCompilerTest, ArithmeticAndTypes) {
   Schema schema = TestSchema();
-  auto f = CompileScalar(Mul(Add(V("a"), I(1)), V("b")), schema);
+  auto f = CompileCellScalar(Mul(Add(V("a"), I(1)), V("b")), schema);
   ASSERT_TRUE(f.ok()) << f.status().ToString();
   Row r({Field::Int(3), Field::Real(2.5), Field::Str("x"),
          Field::Bool(true)});
-  EXPECT_DOUBLE_EQ((*f)(r).AsReal(), 10.0);
+  EXPECT_DOUBLE_EQ(Eval(*f, r).AsReal(), 10.0);
   auto t = ScalarResultType(Mul(Add(V("a"), I(1)), V("b")), schema);
   ASSERT_TRUE(t.ok());
   EXPECT_EQ((*t)->scalar_kind(), nrc::ScalarKind::kReal);
   // Int-only arithmetic stays integral; division always real.
-  auto g = CompileScalar(Add(V("a"), I(2)), schema);
-  EXPECT_TRUE((*g)(r).is_int());
-  auto d = CompileScalar(Div(V("a"), I(2)), schema);
-  EXPECT_TRUE((*d)(r).is_real());
+  auto g = CompileCellScalar(Add(V("a"), I(2)), schema);
+  EXPECT_TRUE(Eval(*g, r).is_int());
+  auto d = CompileCellScalar(Div(V("a"), I(2)), schema);
+  EXPECT_TRUE(Eval(*d, r).is_real());
 }
 
 TEST(ScalarCompilerTest, NullPropagation) {
   Schema schema = TestSchema();
   Row null_row({Field::Null(), Field::Null(), Field::Null(), Field::Null()});
   // Arithmetic with NULL is NULL; comparisons with NULL are false.
-  auto f = CompileScalar(Add(V("a"), I(1)), schema);
-  EXPECT_TRUE((*f)(null_row).is_null());
-  auto c = CompileScalar(Eq(V("a"), I(0)), schema);
-  EXPECT_FALSE((*c)(null_row).AsBool());
-  auto lt = CompileScalar(Lt(V("b"), R(1.0)), schema);
-  EXPECT_FALSE((*lt)(null_row).AsBool());
+  auto f = CompileCellScalar(Add(V("a"), I(1)), schema);
+  EXPECT_TRUE(Eval(*f, null_row).is_null());
+  auto c = CompileCellScalar(Eq(V("a"), I(0)), schema);
+  EXPECT_FALSE(Eval(*c, null_row).AsBool());
+  auto lt = CompileCellScalar(Lt(V("b"), R(1.0)), schema);
+  EXPECT_FALSE(Eval(*lt, null_row).AsBool());
   // Division by zero yields NULL, not a crash.
   Row r({Field::Int(1), Field::Real(0.0), Field::Str(""), Field::Bool(false)});
-  auto dz = CompileScalar(Div(V("a"), V("b")), schema);
-  EXPECT_TRUE((*dz)(r).is_null());
+  auto dz = CompileCellScalar(Div(V("a"), V("b")), schema);
+  EXPECT_TRUE(Eval(*dz, r).is_null());
 }
 
 TEST(ScalarCompilerTest, MissingColumnFails) {
-  auto f = CompileScalar(V("nope"), TestSchema());
+  auto f = CompileCellScalar(V("nope"), TestSchema());
   EXPECT_FALSE(f.ok());
   EXPECT_EQ(f.status().code(), StatusCode::kKeyError);
 }
 
 TEST(ScalarCompilerTest, NewLabelBuildsRuntimeLabels) {
   Schema schema = TestSchema();
-  auto f = CompileScalar(Expr::NewLabel({{"k", V("a")}, {"t", V("s")}}),
-                         schema);
+  auto f = CompileCellScalar(
+      Expr::NewLabel({{"k", V("a")}, {"t", V("s")}}), schema);
   ASSERT_TRUE(f.ok());
   Row r1({Field::Int(7), Field::Real(0), Field::Str("x"), Field::Bool(true)});
   Row r2({Field::Int(7), Field::Real(9), Field::Str("x"), Field::Bool(false)});
   // Labels with equal captured values compare equal regardless of other
   // columns.
-  EXPECT_EQ((*f)(r1), (*f)(r2));
+  EXPECT_EQ(Eval(*f, r1), Eval(*f, r2));
   Row r3({Field::Int(8), Field::Real(0), Field::Str("x"), Field::Bool(true)});
-  EXPECT_NE((*f)(r1), (*f)(r3));
+  EXPECT_NE(Eval(*f, r1), Eval(*f, r3));
 }
 
 TEST(ScalarCompilerTest, CellAccessorMatchesRowAdapter) {
-  // The same compiled expressions evaluated on block cells, on borrowed
-  // Fields, and through the Row adapter must agree — including NULLs and a
-  // column demoted to variant mid-block.
+  // The same compiled expressions evaluated on block cells and on borrowed
+  // Fields must agree — including NULLs and a column demoted to variant
+  // mid-block.
   Schema schema = TestSchema();
   std::vector<Row> rows{
       Row({Field::Int(3), Field::Real(2.5), Field::Str("x"), Field::Bool(true)}),
@@ -101,22 +108,17 @@ TEST(ScalarCompilerTest, CellAccessorMatchesRowAdapter) {
       Lt(V("a"), R(4.0)), And(V("flag"), Lt(V("b"), R(1.0))),
       Expr::NewLabel({{"k", V("a")}, {"t", V("s")}}), V("s")};
   for (const auto& e : exprs) {
-    auto cell_fn = exec::CompileCellScalar(e, schema);
-    auto row_fn = CompileScalar(e, schema);
-    ASSERT_TRUE(cell_fn.ok() && row_fn.ok());
+    auto fn = CompileCellScalar(e, schema);
+    ASSERT_TRUE(fn.ok());
     for (size_t i = 0; i < rows.size(); ++i) {
-      std::vector<runtime::Cell> block_cells, field_cells;
+      std::vector<runtime::Cell> block_cells;
       for (size_t c = 0; c < schema.size(); ++c) {
         block_cells.push_back(runtime::Cell::Block(&block.col(c), i));
-        field_cells.push_back(runtime::Cell::Borrow(&rows[i].fields[c]));
       }
-      Field want = (*row_fn)(rows[i]);
       Field from_block =
-          (*cell_fn)(runtime::CellRow(block_cells.data(), block_cells.size()));
-      Field from_fields =
-          (*cell_fn)(runtime::CellRow(field_cells.data(), field_cells.size()));
-      EXPECT_EQ(from_block.ToString(), want.ToString()) << "row " << i;
-      EXPECT_EQ(from_fields.ToString(), want.ToString()) << "row " << i;
+          (*fn)(runtime::CellRow(block_cells.data(), block_cells.size()));
+      EXPECT_EQ(from_block.ToString(), Eval(*fn, rows[i]).ToString())
+          << "row " << i;
     }
   }
 }

@@ -89,27 +89,33 @@ OpsRun RunAllOps(int num_threads) {
   const Dataset& src2 = keep(SourcePartitioned(
       &cluster, KvSchema(), KvRows(120, 11), {0}, "in2"));
 
-  Schema mapped_schema(
-      {{"k", nrc::Type::Int()}, {"v2", nrc::Type::Int()}});
-  const Dataset& mapped = keep(MapRows(
-      &cluster, src, mapped_schema,
-      [](const Row& r) {
-        return Row({r.fields[0], Field::Int(r.fields[1].AsInt() * 3)});
-      },
-      "map"));
-  const Dataset& filtered = keep(FilterRows(
-      &cluster, mapped,
-      [](const Row& r) { return r.fields[1].AsInt() % 2 == 0; }, "filter"));
-  const Dataset& flat = keep(FlatMapRows(
-      &cluster, filtered, KvSchema(),
-      [](const Row& r, std::vector<Row>* out) {
-        out->push_back(r);
-        if (r.fields[0].AsInt() % 3 == 0) {
-          out->push_back(Row({r.fields[0], Field::Int(-1)}));
-        }
-      },
-      "flatmap"));
-  const Dataset& parted = keep(Repartition(&cluster, flat, {0}, "repart"));
+  // The narrow operators: one single-transform chain (one stage) each.
+  std::vector<ProjectColumn> triple(2);
+  triple[0].src = 0;
+  triple[1].fn = [](const CellRow& r) {
+    return Field::Int(r.Get(1).AsInt() * 3);
+  };
+  const Dataset& projected = keep(RunStagePipeline(
+      &cluster, src,
+      Schema({{"k", nrc::Type::Int()}, {"v2", nrc::Type::Int()}}),
+      {RowTransform::Project("project", false, std::move(triple))},
+      Partitioning::None(), "project"));
+  const Dataset& selected = keep(RunStagePipeline(
+      &cluster, projected, projected.schema,
+      {RowTransform::Select("select",
+                            [](const CellRow& r) {
+                              return r.Get(1).AsInt() % 2 == 0;
+                            })},
+      projected.partitioning, "select"));
+  const Dataset& padded = keep(RunStagePipeline(
+      &cluster, selected, KvSchema(),
+      {RowTransform::OuterSelect("outer_select",
+                                 [](const CellRow& r) {
+                                   return r.Get(0).AsInt() % 3 != 0;
+                                 },
+                                 {true, false})},
+      selected.partitioning, "outer_select"));
+  const Dataset& parted = keep(Repartition(&cluster, padded, {0}, "repart"));
   keep(Repartition(&cluster, parted, {0}, "repart_noop"));
 
   keep(HashJoin(&cluster, src, src2, {0}, {0}, JoinType::kInner, "join"));
@@ -132,7 +138,7 @@ OpsRun RunAllOps(int num_threads) {
   keep(OuterUnnest(&cluster, nested, bag_col, "uid", "outer_unnest"));
 
   keep(UnionAll(&cluster, src, src2, "union"));
-  keep(Distinct(&cluster, flat, "distinct"));
+  keep(Distinct(&cluster, padded, "distinct"));
   keep(CoGroup(&cluster, src, src2, {0}, {0}, {1}, "matches", "cogroup"));
 
   run.stats = cluster.stats();

@@ -509,10 +509,46 @@ TEST(OpsTest, MemoryCapTriggersResourceExhausted) {
   Schema s({{"k", nrc::Type::Int()}, {"s", nrc::Type::String()}});
   auto ds = Source(&cluster, s, std::move(rows), "in");
   ASSERT_TRUE(ds.ok()) << "inputs are exempt from the cap";
-  auto filtered =
-      FilterRows(&cluster, *ds, [](const Row&) { return true; }, "copy");
+  auto filtered = RunStagePipeline(
+      &cluster, *ds, ds->schema,
+      {RowTransform::Select("copy", [](const CellRow&) { return true; })},
+      ds->partitioning, "copy");
   ASSERT_FALSE(filtered.ok());
   EXPECT_TRUE(filtered.status().IsResourceExhausted());
+}
+
+TEST(OpsTest, SourcesRejectRowsOfTheWrongWidth) {
+  // Partitions hold schema-width rows only, so both sources reject a short
+  // or a long input row with a named Invalid before storing or hashing any
+  // row (a short row would otherwise miss the key column), and record no
+  // stage.
+  for (int threads : {1, 4}) {
+    for (size_t width : {size_t{1}, size_t{3}}) {
+      SCOPED_TRACE("threads " + std::to_string(threads) + " width " +
+                   std::to_string(width));
+      ClusterConfig cfg{.num_partitions = 4};
+      cfg.num_threads = threads;
+      Cluster cluster(cfg);
+      std::vector<Row> rows = KvRows({{1, 1}, {2, 2}, {3, 3}, {4, 4}});
+      Row bad;
+      for (size_t c = 0; c < width; ++c) bad.fields.push_back(Field::Int(9));
+      rows.insert(rows.begin() + 2, bad);
+      const std::string widths = " has width " + std::to_string(width) +
+                                 ", schema has width 2";
+
+      auto plain = Source(&cluster, KvSchema(), rows, "in");
+      ASSERT_FALSE(plain.ok());
+      EXPECT_EQ(plain.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(plain.status().message(), "source(in): row 2" + widths);
+
+      auto keyed = SourcePartitioned(&cluster, KvSchema(), rows, {1}, "in");
+      ASSERT_FALSE(keyed.ok());
+      EXPECT_EQ(keyed.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(keyed.status().message(),
+                "source_partitioned(in): row 2" + widths);
+      EXPECT_TRUE(cluster.stats().stages().empty());
+    }
+  }
 }
 
 TEST(OpsTest, SkewedKeysOverloadOnePartitionInStats) {

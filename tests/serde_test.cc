@@ -3,14 +3,15 @@
 // The runtime/serde.h wire format (docs/STORAGE.md) must round-trip every
 // Field value bit-exactly — nulls, int64 extremes, exact IEEE doubles (NaN
 // payloads included), strings, bools, recursive labels, recursive bags — in
-// both record kinds (row batches and columnar blocks, typed and ragged, with
-// null bitmaps and the variant fallback). And it must reject, with a clean
+// both record kinds (row batches and columnar blocks, with null bitmaps and
+// the variant fallback). And it must reject, with a clean
 // Status (never a crash, never partial rows), every malformed input we can
 // produce: truncation at any byte, single-byte corruption anywhere in the
 // file, checksum tampering, a bad magic, and a version from the future.
 // Block records with every column kind are also read through ReadBatchInto
 // (the block-resident restore), which must leave its destination untouched
-// on failure — including for corruption behind a recomputed checksum.
+// on failure — including for corruption behind a recomputed checksum, a set
+// block flag byte, and records whose width is not the destination's.
 // Bags memoize their deep size when built, and ParseField rebuilds them
 // through Field::Bag: the memo must equal a recursive walk before and after
 // a round trip.
@@ -413,7 +414,7 @@ TEST(SerdeRoundTripTest, TypedBlockWithNullsAndVariants) {
     rows.push_back(std::move(r));
   }
   column::PartitionBlock block = column::PartitionBlock::FromRows(schema, rows);
-  ASSERT_FALSE(block.ragged());
+  ASSERT_EQ(block.NumCols(), schema.size());
 
   std::string path = TestPath("block");
   serde::BlockFileWriter writer;
@@ -427,27 +428,6 @@ TEST(SerdeRoundTripTest, TypedBlockWithNullsAndVariants) {
   // The materialized rows must match what the in-memory block materializes.
   std::vector<Row> expected;
   block.AppendRowsTo(&expected);
-  ExpectRowsBitEq(expected, back);
-  std::remove(path.c_str());
-}
-
-TEST(SerdeRoundTripTest, RaggedBlockFallback) {
-  Schema schema({{"a", nrc::Type::Int()}, {"b", nrc::Type::String()}});
-  column::PartitionBlock block(schema);
-  block.AppendRow(Row{{Field::Int(1), Field::Str("x")}});
-  block.AppendRow(Row{{Field::Int(2)}});  // width mismatch demotes to ragged
-  block.AppendRow(Row{{Field::Str("y"), Field::Int(3), Field::Bool(false)}});
-  ASSERT_TRUE(block.ragged());
-
-  std::string path = TestPath("ragged");
-  serde::BlockFileWriter writer;
-  ASSERT_TRUE(writer.Open(path).ok());
-  ASSERT_TRUE(writer.WriteBlock(block).ok());
-  ASSERT_TRUE(writer.Close().ok());
-
-  std::vector<Row> expected;
-  block.AppendRowsTo(&expected);
-  std::vector<Row> back = ReadAll(path);
   ExpectRowsBitEq(expected, back);
   std::remove(path.c_str());
 }
@@ -698,6 +678,52 @@ TEST(SerdeCorruptionTest, SingleByteFlipsNeverCrashAndMostlyFail) {
   EXPECT_GT(structural, 0u);
   std::remove(path.c_str());
   std::remove(fpath.c_str());
+}
+
+TEST(SerdeCorruptionTest, BlockFlagAndWidthMismatchAreRejected) {
+  // The block flag byte must be 0: a record with it set is corrupt to both
+  // readers, even behind a valid frame and checksum. ReadBatchInto also
+  // rejects a block record, or a row-batch row, whose width is not the
+  // destination's. Each failure names what it rejected and leaves the
+  // destination unchanged (TryReadAllInto checks).
+  std::string path = TestPath("reject");
+  std::string flagged = BlockSamplePayload();
+  flagged[12] = 1;  // after u32 num_cols and u64 num_rows
+  DumpFile(path, FramedFile(serde::kRecordBlock, flagged));
+  Status rows = TryReadAll(path);
+  Status into = TryReadAllInto(path);
+  EXPECT_EQ(rows.code(), StatusCode::kInvalidArgument) << rows.ToString();
+  EXPECT_NE(rows.message().find("flag byte 1"), std::string::npos)
+      << rows.ToString();
+  EXPECT_EQ(into.message(), rows.message());
+
+  // A block record two columns wide, into the six-column destination.
+  std::string narrow;
+  serde::AppendBlockPayload(
+      column::PartitionBlock::FromRows(
+          Schema({{"i", nrc::Type::Int()}, {"r", nrc::Type::Real()}}),
+          {Row{{Field::Int(1), Field::Real(2.0)}}}),
+      &narrow);
+  DumpFile(path, FramedFile(serde::kRecordBlock, narrow));
+  EXPECT_TRUE(TryReadAll(path).ok());
+  into = TryReadAllInto(path);
+  EXPECT_EQ(into.message(),
+            "serde: block record has width 2, destination block has width 6");
+
+  // A row batch whose third row is one column short: nothing is appended,
+  // not even the two rows that fit.
+  std::vector<Row> batch = BlockSampleRows();
+  batch.resize(3);
+  batch[2].fields.pop_back();
+  std::string batch_payload;
+  serde::AppendRowBatchPayload(batch, &batch_payload);
+  DumpFile(path, FramedFile(serde::kRecordRowBatch, batch_payload));
+  EXPECT_TRUE(TryReadAll(path).ok());
+  into = TryReadAllInto(path);
+  EXPECT_EQ(into.message(),
+            "serde: row-batch record row 2 has width 5, destination block "
+            "has width 6");
+  std::remove(path.c_str());
 }
 
 TEST(SerdeCorruptionTest, ChecksumTamperNamesTheMismatch) {

