@@ -220,12 +220,17 @@ namespace flat_hash = runtime::flat_hash;
 /// Pre-encoded distinct keys for the container micro-benchmarks (an int +
 /// short string key, the shape the keyed operators encode most).
 std::vector<key_codec::EncodedKey> MakeEncodedKeys(int64_t n) {
+  runtime::column::PartitionBlock block(
+      Schema({{"k", nrc::Type::Int()}, {"s", nrc::Type::String()}}));
+  for (int64_t i = 0; i < n; ++i) {
+    block.AppendRow(Row({Field::Int(i), Field::Str("k" + std::to_string(i))}));
+  }
   key_codec::KeyEncoder enc;
   std::vector<key_codec::EncodedKey> keys;
   keys.reserve(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) {
-    Row row({Field::Int(i), Field::Str("k" + std::to_string(i))});
-    keys.push_back(key_codec::Materialize(enc.EncodeRow(row).ValueOrDie()));
+  for (size_t i = 0; i < block.NumRows(); ++i) {
+    keys.push_back(
+        key_codec::Materialize(enc.EncodeRowAt(block, i).ValueOrDie()));
   }
   return keys;
 }

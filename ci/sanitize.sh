@@ -13,8 +13,12 @@
 # cells borrow pointers into blocks and bag rows), the bulk-operator and
 # skew suites (labels `ops` and `skew` — every keyed operator's counter
 # fold and the heavy-key sampler), the thread-count determinism sweep over
-# every bulk operator (label `parallel`), and the telemetry suites (labels
-# `metrics` and `events`) under the sanitizers.
+# every bulk operator (label `parallel`), the telemetry suites (labels
+# `metrics` and `events`), and the end-to-end pipeline suites (label
+# `pipeline`: standard_pipeline_test, shred_test and tpch_biomed_test run
+# the Fig 7/9 queries through every route, so every column gather of the
+# keyed operators and shuffles runs over real nested data) under the
+# sanitizers.
 # TRANCE_WERROR keeps the build warning-clean.
 #
 # Usage: ci/sanitize.sh [build-dir]   (default: build-sanitize)
@@ -27,5 +31,5 @@ ci/check_docs.sh
 ci/bench_smoke.sh
 
 cmake -B "$BUILD_DIR" -S . -DTRANCE_SANITIZE=ON -DTRANCE_WERROR=ON
-cmake --build "$BUILD_DIR" --target obs_test fusion_test fault_test key_codec_test flat_hash_test metrics_test event_log_test column_test columnar_test serde_test spill_test exec_test runtime_ops_test skew_test parallel_test -j"$(nproc)"
-ctest --test-dir "$BUILD_DIR" -L 'obs|fusion|faults|keys|flathash|metrics|events|columnar|serde|spill|exec|ops|skew|parallel' --output-on-failure -j"$(nproc)"
+cmake --build "$BUILD_DIR" --target obs_test fusion_test fault_test key_codec_test flat_hash_test metrics_test event_log_test column_test columnar_test serde_test spill_test exec_test runtime_ops_test skew_test parallel_test standard_pipeline_test shred_test tpch_biomed_test -j"$(nproc)"
+ctest --test-dir "$BUILD_DIR" -L 'obs|fusion|faults|keys|flathash|metrics|events|columnar|serde|spill|exec|ops|skew|parallel|pipeline' --output-on-failure -j"$(nproc)"

@@ -104,7 +104,7 @@ StatusOr<SkewTriple> Executor::Get(const std::string& name) const {
 
 StatusOr<Dataset> Executor::GetDataset(const std::string& name) {
   TRANCE_ASSIGN_OR_RETURN(SkewTriple t, Get(name));
-  return skew::MergeTriple(cluster_, t, name);
+  return skew::MergeTriple(cluster_, std::move(t), name);
 }
 
 StatusOr<SkewTriple> Executor::Execute(const plan::PlanPtr& p) {
@@ -113,7 +113,7 @@ StatusOr<SkewTriple> Executor::Execute(const plan::PlanPtr& p) {
 
 StatusOr<Dataset> Executor::ExecuteToDataset(const plan::PlanPtr& p) {
   TRANCE_ASSIGN_OR_RETURN(SkewTriple t, Exec(p));
-  return skew::MergeTriple(cluster_, t, "result");
+  return skew::MergeTriple(cluster_, std::move(t), "result");
 }
 
 StatusOr<std::string> Executor::ExecuteProgram(
@@ -404,8 +404,9 @@ StatusOr<Executor::Pending> Executor::ExecPendingNarrow(
       // partitions before numbering — a real merge, which breaks fusion.
       TRANCE_ASSIGN_OR_RETURN(SkewTriple in, Flush(std::move(pd)));
       runtime::StageScope stage_scope(cluster_, scope);
-      TRANCE_ASSIGN_OR_RETURN(Dataset merged,
-                              skew::MergeTriple(cluster_, in, "addindex"));
+      TRANCE_ASSIGN_OR_RETURN(
+          Dataset merged,
+          skew::MergeTriple(cluster_, std::move(in), "addindex"));
       TRANCE_ASSIGN_OR_RETURN(
           Dataset out, runtime::AddIndexColumn(cluster_, merged, p->id_attr(),
                                                "add_index"));
@@ -448,13 +449,15 @@ StatusOr<SkewTriple> Executor::ExecNode(const plan::PlanPtr& p) {
                               ResolveCols(r.schema(), p->right_keys()));
       JoinType type = p->outer() ? JoinType::kLeftOuter : JoinType::kInner;
       if (options_.skew_aware && !lk.empty()) {
-        return skew::SkewAwareJoin(cluster_, l, r, lk, rk, type, "skewjoin");
+        return skew::SkewAwareJoin(cluster_, std::move(l), std::move(r), lk,
+                                   rk, type, "skewjoin");
       }
-      TRANCE_ASSIGN_OR_RETURN(Dataset lm, skew::MergeTriple(cluster_, l, "j"));
-      TRANCE_ASSIGN_OR_RETURN(Dataset rm, skew::MergeTriple(cluster_, r, "j"));
+      TRANCE_ASSIGN_OR_RETURN(
+          Dataset lm, skew::MergeTriple(cluster_, std::move(l), "j"));
+      TRANCE_ASSIGN_OR_RETURN(
+          Dataset rm, skew::MergeTriple(cluster_, std::move(r), "j"));
       if (options_.auto_broadcast &&
-          rm.DeepSizeBytes(cluster_->num_threads()) <=
-              cluster_->config().broadcast_threshold) {
+          rm.DeepSizeBytes() <= cluster_->config().broadcast_threshold) {
         TRANCE_ASSIGN_OR_RETURN(
             Dataset out, runtime::BroadcastJoin(cluster_, lm, rm, lk, rk,
                                                 type, "broadcast_join"));
@@ -505,8 +508,9 @@ StatusOr<SkewTriple> Executor::ExecNode(const plan::PlanPtr& p) {
     case K::kAddIndex: {
       TRANCE_ASSIGN_OR_RETURN(SkewTriple in, Exec(p->child()));
       // Ids must be unique across components: merge first (cheap concat).
-      TRANCE_ASSIGN_OR_RETURN(Dataset merged,
-                              skew::MergeTriple(cluster_, in, "addindex"));
+      TRANCE_ASSIGN_OR_RETURN(
+          Dataset merged,
+          skew::MergeTriple(cluster_, std::move(in), "addindex"));
       TRANCE_ASSIGN_OR_RETURN(
           Dataset out, runtime::AddIndexColumn(cluster_, merged, p->id_attr(),
                                                "add_index"));
@@ -517,8 +521,8 @@ StatusOr<SkewTriple> Executor::ExecNode(const plan::PlanPtr& p) {
       TRANCE_ASSIGN_OR_RETURN(SkewTriple in, Exec(p->child()));
       // "All nest operations merge the light and heavy components and follow
       // the standard implementation" (Section 5).
-      TRANCE_ASSIGN_OR_RETURN(Dataset merged,
-                              skew::MergeTriple(cluster_, in, "nest"));
+      TRANCE_ASSIGN_OR_RETURN(
+          Dataset merged, skew::MergeTriple(cluster_, std::move(in), "nest"));
       TRANCE_ASSIGN_OR_RETURN(std::vector<int> keys,
                               ResolveCols(merged.schema, p->keys()));
       TRANCE_ASSIGN_OR_RETURN(std::vector<int> values,
@@ -547,8 +551,8 @@ StatusOr<SkewTriple> Executor::ExecNode(const plan::PlanPtr& p) {
 
     case K::kDedup: {
       TRANCE_ASSIGN_OR_RETURN(SkewTriple in, Exec(p->child()));
-      TRANCE_ASSIGN_OR_RETURN(Dataset merged,
-                              skew::MergeTriple(cluster_, in, "dedup"));
+      TRANCE_ASSIGN_OR_RETURN(
+          Dataset merged, skew::MergeTriple(cluster_, std::move(in), "dedup"));
       TRANCE_ASSIGN_OR_RETURN(Dataset out,
                               runtime::Distinct(cluster_, merged, "dedup"));
       return SkewTriple::AllLight(std::move(out));
@@ -557,8 +561,10 @@ StatusOr<SkewTriple> Executor::ExecNode(const plan::PlanPtr& p) {
     case K::kUnionAll: {
       TRANCE_ASSIGN_OR_RETURN(SkewTriple a, Exec(p->child(0)));
       TRANCE_ASSIGN_OR_RETURN(SkewTriple b, Exec(p->child(1)));
-      TRANCE_ASSIGN_OR_RETURN(Dataset am, skew::MergeTriple(cluster_, a, "u"));
-      TRANCE_ASSIGN_OR_RETURN(Dataset bm, skew::MergeTriple(cluster_, b, "u"));
+      TRANCE_ASSIGN_OR_RETURN(
+          Dataset am, skew::MergeTriple(cluster_, std::move(a), "u"));
+      TRANCE_ASSIGN_OR_RETURN(
+          Dataset bm, skew::MergeTriple(cluster_, std::move(b), "u"));
       TRANCE_ASSIGN_OR_RETURN(Dataset out,
                               runtime::UnionAll(cluster_, am, bm, "union"));
       return SkewTriple::AllLight(std::move(out));
@@ -567,8 +573,10 @@ StatusOr<SkewTriple> Executor::ExecNode(const plan::PlanPtr& p) {
     case K::kCoGroup: {
       TRANCE_ASSIGN_OR_RETURN(SkewTriple l, Exec(p->child(0)));
       TRANCE_ASSIGN_OR_RETURN(SkewTriple r, Exec(p->child(1)));
-      TRANCE_ASSIGN_OR_RETURN(Dataset lm, skew::MergeTriple(cluster_, l, "cg"));
-      TRANCE_ASSIGN_OR_RETURN(Dataset rm, skew::MergeTriple(cluster_, r, "cg"));
+      TRANCE_ASSIGN_OR_RETURN(
+          Dataset lm, skew::MergeTriple(cluster_, std::move(l), "cg"));
+      TRANCE_ASSIGN_OR_RETURN(
+          Dataset rm, skew::MergeTriple(cluster_, std::move(r), "cg"));
       TRANCE_ASSIGN_OR_RETURN(std::vector<int> lk,
                               ResolveCols(lm.schema, p->left_keys()));
       TRANCE_ASSIGN_OR_RETURN(std::vector<int> rk,
@@ -587,10 +595,11 @@ StatusOr<SkewTriple> Executor::ExecNode(const plan::PlanPtr& p) {
       TRANCE_ASSIGN_OR_RETURN(SkewTriple in, Exec(p->child()));
       TRANCE_ASSIGN_OR_RETURN(int label, in.schema().Require(p->label_col()));
       if (options_.skew_aware) {
-        return skew::SkewAwareBagToDict(cluster_, in, label, "bag_to_dict");
+        return skew::SkewAwareBagToDict(cluster_, std::move(in), label,
+                                        "bag_to_dict");
       }
-      TRANCE_ASSIGN_OR_RETURN(Dataset merged,
-                              skew::MergeTriple(cluster_, in, "b2d"));
+      TRANCE_ASSIGN_OR_RETURN(
+          Dataset merged, skew::MergeTriple(cluster_, std::move(in), "b2d"));
       TRANCE_ASSIGN_OR_RETURN(
           Dataset out,
           runtime::Repartition(cluster_, merged, {label}, "bag_to_dict"));

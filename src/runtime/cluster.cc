@@ -125,7 +125,7 @@ void Cluster::PublishStage(size_t stage_index, const StageStats& s) {
 }
 
 Status Cluster::CheckMemory(const Dataset& ds, const std::string& op) {
-  return CheckMemoryBytes(ds.PartitionBytes(num_threads_), op);
+  return CheckMemoryBytes(ds.PartitionBytes(), op);
 }
 
 spill::SpillManager* Cluster::spill_manager() {

@@ -74,6 +74,78 @@ void AnyColumn::AppendFrom(const AnyColumn& src, size_t i) {
   nulls_.Append(null);
 }
 
+template <typename RowOf>
+void AnyColumn::AppendCells(const AnyColumn& src, size_t n, RowOf row_of) {
+  if (kind_ != src.kind_) {
+    // Cell-by-cell, so a demotion lands at the same cell as per-row appends.
+    for (size_t k = 0; k < n; ++k) {
+      size_t i = row_of(k);
+      if (i == kPadRow) {
+        Append(Field::Null());
+      } else {
+        AppendFrom(src, i);
+      }
+    }
+    return;
+  }
+  switch (kind_) {
+    case Kind::kInt64:
+      for (size_t k = 0; k < n; ++k) {
+        size_t i = row_of(k);
+        bool pad = i == kPadRow;
+        ints_.Append(pad ? 0 : src.ints_[i]);
+        nulls_.Append(pad || src.nulls_.IsNull(i));
+      }
+      break;
+    case Kind::kReal:
+      for (size_t k = 0; k < n; ++k) {
+        size_t i = row_of(k);
+        bool pad = i == kPadRow;
+        reals_.Append(pad ? 0.0 : src.reals_[i]);
+        nulls_.Append(pad || src.nulls_.IsNull(i));
+      }
+      break;
+    case Kind::kBool:
+      for (size_t k = 0; k < n; ++k) {
+        size_t i = row_of(k);
+        bool pad = i == kPadRow;
+        bools_.Append(pad ? 0 : src.bools_[i]);
+        nulls_.Append(pad || src.nulls_.IsNull(i));
+      }
+      break;
+    case Kind::kString:
+      for (size_t k = 0; k < n; ++k) {
+        size_t i = row_of(k);
+        bool pad = i == kPadRow;
+        strs_.Append(pad ? std::string_view() : src.strs_.At(i));
+        nulls_.Append(pad || src.nulls_.IsNull(i));
+      }
+      break;
+    case Kind::kVariant:
+      for (size_t k = 0; k < n; ++k) {
+        size_t i = row_of(k);
+        if (i == kPadRow) {
+          Append(Field::Null());
+          continue;
+        }
+        const Field& f = src.variant_[i];
+        variant_.push_back(f);
+        variant_bytes_ += f.DeepSize();
+        nulls_.Append(src.nulls_.IsNull(i));
+      }
+      break;
+  }
+}
+
+void AnyColumn::AppendGather(const AnyColumn& src,
+                             const std::vector<uint32_t>& rows) {
+  AppendCells(src, rows.size(), [&](size_t k) -> size_t { return rows[k]; });
+}
+
+void AnyColumn::AppendRange(const AnyColumn& src, size_t begin, size_t end) {
+  AppendCells(src, end - begin, [&](size_t k) { return begin + k; });
+}
+
 Field AnyColumn::At(size_t i) const {
   if (kind_ != Kind::kVariant && nulls_.IsNull(i)) return Field::Null();
   switch (kind_) {
@@ -117,6 +189,22 @@ uint64_t AnyColumn::CellHash(size_t i) const {
       return variant_[i].Hash();
   }
   return 0x9E11;
+}
+
+uint64_t AnyColumn::TotalCellBytes() const {
+  switch (kind_) {
+    case Kind::kInt64:
+    case Kind::kReal:
+    case Kind::kBool:
+      return 8 * size();
+    case Kind::kString: {
+      const uint64_t nulls = nulls_.null_count();
+      return 8 * nulls + 32 * (size() - nulls) + strs_.arena_size();
+    }
+    case Kind::kVariant:
+      return variant_bytes_;
+  }
+  return 8 * size();
 }
 
 uint64_t AnyColumn::ByteFootprint() const {
@@ -166,6 +254,23 @@ void PartitionBlock::AppendRowFrom(const PartitionBlock& src, size_t i) {
   ++num_rows_;
 }
 
+void PartitionBlock::AppendGather(const PartitionBlock& src,
+                                  const std::vector<uint32_t>& rows) {
+  TRANCE_CHECK(src.cols_.size() == cols_.size(),
+               "PartitionBlock::AppendGather: width mismatch");
+  AppendColumns(rows.size(), [&](size_t c, AnyColumn* col) {
+    col->AppendGather(src.cols_[c], rows);
+  });
+}
+
+void PartitionBlock::AppendBlock(const PartitionBlock& src) {
+  TRANCE_CHECK(src.cols_.size() == cols_.size(),
+               "PartitionBlock::AppendBlock: width mismatch");
+  AppendColumns(src.num_rows_, [&](size_t c, AnyColumn* col) {
+    col->AppendRange(src.cols_[c], 0, src.num_rows_);
+  });
+}
+
 Row PartitionBlock::RowAt(size_t i) const {
   Row r;
   r.fields.reserve(cols_.size());
@@ -199,23 +304,33 @@ uint64_t PartitionBlock::RowBytesAt(size_t i) const {
   return s;
 }
 
+std::vector<uint64_t> PartitionBlock::RowBytesOfAll() const {
+  std::vector<uint64_t> out(num_rows_, 8);  // RowDeepSize row overhead
+  for (const auto& c : cols_) {
+    for (size_t i = 0; i < num_rows_; ++i) out[i] += c.CellBytes(i);
+  }
+  return out;
+}
+
 uint64_t PartitionBlock::TotalRowBytes() const {
-  uint64_t s = 0;
-  size_t n = NumRows();
-  for (size_t i = 0; i < n; ++i) s += RowBytesAt(i);
+  uint64_t s = 8 * static_cast<uint64_t>(num_rows_);
+  for (const auto& c : cols_) s += c.TotalCellBytes();
   return s;
 }
 
-uint64_t PartitionBlock::HashRowOn(size_t i, const std::vector<int>& cols) const {
-  // Identical combine to field.cc RowHashOn (commutative sum of finalized
-  // per-column hashes).
-  uint64_t h = 0x5EED;
+std::vector<uint64_t> PartitionBlock::HashRowsOn(
+    const std::vector<int>& cols) const {
+  // The combine of field.cc RowHashOn (commutative sum of finalized
+  // per-column hashes), accumulated one column at a time.
+  std::vector<uint64_t> h(num_rows_, 0x5EED);
   for (int c : cols) {
     TRANCE_CHECK(c >= 0 && static_cast<size_t>(c) < cols_.size(),
-                 "PartitionBlock::HashRowOn: bad column");
-    h += SplitMix64(cols_[static_cast<size_t>(c)].CellHash(i));
+                 "PartitionBlock::HashRowsOn: bad column");
+    const AnyColumn& col = cols_[static_cast<size_t>(c)];
+    for (size_t i = 0; i < num_rows_; ++i) h[i] += SplitMix64(col.CellHash(i));
   }
-  return SplitMix64(h);
+  for (uint64_t& x : h) x = SplitMix64(x);
+  return h;
 }
 
 uint64_t PartitionBlock::ByteFootprint() const {

@@ -61,6 +61,8 @@ class StringColumn {
     return std::string_view(chars_.data() + begin, offsets_[i] - begin);
   }
   size_t size() const { return offsets_.size(); }
+  /// Arena length: the summed length of every value.
+  uint64_t arena_size() const { return chars_.size(); }
   uint64_t ByteFootprint() const {
     return chars_.capacity() + offsets_.capacity() * sizeof(uint64_t);
   }
@@ -70,7 +72,8 @@ class StringColumn {
   std::vector<uint64_t> offsets_;
 };
 
-/// Per-column null bitmap, one bit per row, packed into 64-bit words.
+/// Per-column null bitmap, one bit per row, packed into 64-bit words, with
+/// a running count of the set bits.
 class NullBitmap {
  public:
   void Append(bool is_null) {
@@ -78,7 +81,7 @@ class NullBitmap {
     if (word == words_.size()) words_.push_back(0);
     if (is_null) {
       words_[word] |= uint64_t{1} << (size_ % 64);
-      any_ = true;
+      ++null_count_;
     }
     ++size_;
   }
@@ -94,14 +97,15 @@ class NullBitmap {
     if (off != 0 && w + 1 < words_.size()) bits |= words_[w + 1] << (64 - off);
     return count == 64 ? bits : bits & ((uint64_t{1} << count) - 1);
   }
-  bool any() const { return any_; }
+  bool any() const { return null_count_ != 0; }
+  size_t null_count() const { return null_count_; }
   size_t size() const { return size_; }
   uint64_t ByteFootprint() const { return words_.capacity() * sizeof(uint64_t); }
 
  private:
   std::vector<uint64_t> words_;
   size_t size_ = 0;
-  bool any_ = false;
+  size_t null_count_ = 0;
 };
 
 /// One schema column in typed form. Scalar int/real/bool/string columns use
@@ -153,6 +157,19 @@ class AnyColumn {
   /// the kinds differ.
   void AppendFrom(const AnyColumn& src, size_t i);
 
+  /// Row index that AppendGather turns into a NULL cell (a join's pad).
+  static constexpr uint32_t kPadRow = 0xFFFFFFFFu;
+
+  /// Column gather: appends src[rows[k]] for each k in order, a NULL for
+  /// kPadRow. Cell for cell the same as AppendFrom / Append(Field::Null()),
+  /// including a demotion part-way through, but the kind dispatch runs once
+  /// per call when the kinds agree. Appends one cell at a time and never
+  /// reserves, so the storage grows (and ByteFootprint reads) exactly as
+  /// per-row appends of the same cells would.
+  void AppendGather(const AnyColumn& src, const std::vector<uint32_t>& rows);
+  /// AppendGather of the rows [begin, end) of src.
+  void AppendRange(const AnyColumn& src, size_t begin, size_t end);
+
   // Typed appends for column-wise bulk loads (the spill restore). The column
   // must already be of the matching kind; a NULL cell stores the default
   // value slot, exactly as Append(Field::Null()) does, so the storage and
@@ -187,6 +204,11 @@ class AnyColumn {
   /// Field::Hash of cell i without materializing scalar cells.
   uint64_t CellHash(size_t i) const;
 
+  /// Sum of CellBytes over the column in O(1): 8 per int/real/bool cell;
+  /// 8 per NULL, 32 per value plus the arena length for strings; the
+  /// running DeepSize sum for variant cells.
+  uint64_t TotalCellBytes() const;
+
   uint64_t ByteFootprint() const;
 
   // Typed readers for tight scan loops; valid only for the matching kind.
@@ -199,6 +221,8 @@ class AnyColumn {
 
  private:
   void DemoteToVariant();
+  template <typename RowOf>
+  void AppendCells(const AnyColumn& src, size_t n, RowOf row_of);
 
   Kind kind_;
   ColumnVector<int64_t> ints_;
@@ -227,6 +251,13 @@ class PartitionBlock {
   void AppendRow(const Row& r);
   /// Column-wise copy of row i of src, a block of the same width.
   void AppendRowFrom(const PartitionBlock& src, size_t i);
+  /// Appends the rows `rows` of src (same width), in order, one column at a
+  /// time (AnyColumn::AppendGather): the cells, RowBytesAt and
+  /// ByteFootprint equal AppendRowFrom of each listed row.
+  void AppendGather(const PartitionBlock& src,
+                    const std::vector<uint32_t>& rows);
+  /// Appends every row of src (same width), column by column.
+  void AppendBlock(const PartitionBlock& src);
   /// Column-wise bulk append of n rows: fill(c, &column) appends exactly n
   /// cells to column c. Column order does not matter, since each column
   /// grows independently of the others.
@@ -255,10 +286,16 @@ class PartitionBlock {
   /// Bytes Field accounting charges for row i — identical to
   /// RowDeepSize(RowAt(i)) without materializing.
   uint64_t RowBytesAt(size_t i) const;
+  /// RowBytesAt of every row, computed one column at a time.
+  std::vector<uint64_t> RowBytesOfAll() const;
+  /// Σ RowBytesAt over the block in O(columns): 8 per row plus each
+  /// column's TotalCellBytes. An operator takes the bytes of the rows it
+  /// appended as the difference of two readings.
   uint64_t TotalRowBytes() const;
 
-  /// RowHashOn(RowAt(i), cols) without materializing scalar cells.
-  uint64_t HashRowOn(size_t i, const std::vector<int>& cols) const;
+  /// RowHashOn(RowAt(i), cols) of every row i, computed one key column at
+  /// a time without materializing scalar cells.
+  std::vector<uint64_t> HashRowsOn(const std::vector<int>& cols) const;
 
   /// In-memory footprint of the columnar storage itself (arena capacity, not
   /// Field accounting); feeds the columnar_bytes counter.

@@ -5,7 +5,7 @@
 //
 // Partitions are stored as typed column::PartitionBlocks (runtime/column.h),
 // the one representation every operator consumes and produces. Blocks are
-// lossless — RowAt / RowBytesAt / HashRowOn observe the exact Field values
+// lossless — RowAt / RowBytesAt / HashRowsOn observe the exact Field values
 // that went in — so every consumer that sizes, hashes, or materializes rows
 // sees the values the row-level definitions (RowDeepSize, RowHashOn) would.
 #ifndef TRANCE_RUNTIME_DATASET_H_
@@ -109,7 +109,7 @@ class PartitionStore {
   /// Materializes row i of partition p (transient read).
   Row RowAt(size_t p, size_t i) const { return blocks_[p].RowAt(i); }
   /// Field-accounting bytes of partition p (PartitionBlock::TotalRowBytes ==
-  /// the RowDeepSize sum of its rows).
+  /// the RowDeepSize sum of its rows, read in O(columns)).
   uint64_t PartitionRowBytes(size_t p) const {
     return blocks_[p].TotalRowBytes();
   }
@@ -140,29 +140,24 @@ struct Dataset {
   }
 
   size_t NumRows() const { return store.NumRows(); }
-  /// Total deep-size footprint. The accounting walk recurses into nested
-  /// bags and is a hot path; `num_threads > 1` sizes partitions
-  /// concurrently (per-partition slots summed in partition order, so the
-  /// result is identical for any thread count).
-  uint64_t DeepSizeBytes(int num_threads = 1) const {
+  /// Total deep-size footprint: the sum of PartitionBytes.
+  uint64_t DeepSizeBytes() const {
     uint64_t s = 0;
-    for (uint64_t b : PartitionBytes(num_threads)) s += b;
+    for (uint64_t b : PartitionBytes()) s += b;
     return s;
   }
   /// Byte footprint of each partition: the block's own accounting
-  /// (TotalRowBytes, no row materialization), bit-identical to the
-  /// RowDeepSize sum of the same rows.
-  std::vector<uint64_t> PartitionBytes(int num_threads = 1) const {
+  /// (TotalRowBytes, O(columns) per partition from running column totals,
+  /// no row walk), bit-identical to the RowDeepSize sum of the same rows.
+  std::vector<uint64_t> PartitionBytes() const {
     std::vector<uint64_t> out(store.NumPartitions(), 0);
-    util::ParallelFor(num_threads, out.size(), [&](size_t i) {
-      out[i] = store.PartitionRowBytes(i);
-    });
+    for (size_t i = 0; i < out.size(); ++i) out[i] = store.PartitionRowBytes(i);
     return out;
   }
   /// All rows gathered into one vector, in partition order (tests / result
-  /// collection / broadcast — a true row boundary). Mirrors PartitionBytes:
-  /// `num_threads > 1` copies partitions concurrently into pre-computed
-  /// offsets, so the output is identical for any thread count.
+  /// collection — a true row boundary). `num_threads > 1` copies partitions
+  /// concurrently into pre-computed offsets, so the output is identical for
+  /// any thread count.
   std::vector<Row> Collect(int num_threads = 1) const {
     const size_t nparts = store.NumPartitions();
     std::vector<size_t> offsets(nparts + 1, 0);

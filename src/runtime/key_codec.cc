@@ -106,49 +106,75 @@ StatusOr<EncodedKeyView> KeyEncoder::Encode(const Row& row,
   return EncodedKeyView{SplitMix64(h), std::string_view(buf_)};
 }
 
-StatusOr<EncodedKeyView> KeyEncoder::EncodeRow(const Row& row) {
-  buf_.clear();
-  uint64_t h = 0x5EED;
-  for (const Field& f : row.fields) {
-    h += SplitMix64(f.Hash());
+StatusOr<uint64_t> KeyEncoder::EncodeCell(const column::AnyColumn& col,
+                                          size_t i) {
+  using Kind = column::AnyColumn::Kind;
+  // Typed cells encode from the arrays exactly as EncodeField would encode
+  // the Field that At(i) materializes; variant cells encode by reference.
+  if (col.kind() == Kind::kVariant) {
+    const Field& f = col.variants()[i];
     TRANCE_RETURN_NOT_OK(EncodeField(f, &buf_));
+    return f.Hash();
   }
-  bytes_encoded_ += buf_.size();
-  return EncodedKeyView{SplitMix64(h), std::string_view(buf_)};
+  if (col.IsNull(i)) {
+    buf_.push_back(static_cast<char>(kNull));
+    return col.CellHash(i);
+  }
+  switch (col.kind()) {
+    case Kind::kInt64:
+      buf_.push_back(static_cast<char>(kInt));
+      PutU64(&buf_, static_cast<uint64_t>(col.ints()[i]));
+      break;
+    case Kind::kReal: {
+      double d = col.reals()[i];
+      if (d == 0.0) d = 0.0;  // -0.0 encodes as 0.0 (see EncodeField)
+      uint64_t bits;
+      std::memcpy(&bits, &d, sizeof(bits));
+      buf_.push_back(static_cast<char>(kReal));
+      PutU64(&buf_, bits);
+      break;
+    }
+    case Kind::kBool:
+      buf_.push_back(static_cast<char>(kBool));
+      buf_.push_back(col.bools()[i] != 0 ? '\1' : '\0');
+      break;
+    case Kind::kString: {
+      std::string_view s = col.strings().At(i);
+      buf_.push_back(static_cast<char>(kString));
+      PutU32(&buf_, static_cast<uint32_t>(s.size()));
+      buf_.append(s.data(), s.size());
+      break;
+    }
+    case Kind::kVariant:
+      break;
+  }
+  return col.CellHash(i);
 }
 
 StatusOr<EncodedKeyView> KeyEncoder::EncodeAt(
     const column::PartitionBlock& block, size_t i,
     const std::vector<int>& cols) {
-  Begin();
+  buf_.clear();
+  uint64_t h = 0x5EED;
   for (int c : cols) {
-    TRANCE_RETURN_NOT_OK(Append(block.FieldAt(i, static_cast<size_t>(c))));
+    TRANCE_ASSIGN_OR_RETURN(uint64_t ch,
+                            EncodeCell(block.col(static_cast<size_t>(c)), i));
+    h += SplitMix64(ch);
   }
-  return Finish();
+  bytes_encoded_ += buf_.size();
+  return EncodedKeyView{SplitMix64(h), std::string_view(buf_)};
 }
 
 StatusOr<EncodedKeyView> KeyEncoder::EncodeRowAt(
     const column::PartitionBlock& block, size_t i) {
-  Begin();
-  for (size_t c = 0; c < block.NumCols(); ++c) {
-    TRANCE_RETURN_NOT_OK(Append(block.FieldAt(i, c)));
-  }
-  return Finish();
-}
-
-void KeyEncoder::Begin() {
   buf_.clear();
-  hash_acc_ = 0x5EED;
-}
-
-Status KeyEncoder::Append(const Field& f) {
-  hash_acc_ += SplitMix64(f.Hash());
-  return EncodeField(f, &buf_);
-}
-
-EncodedKeyView KeyEncoder::Finish() {
+  uint64_t h = 0x5EED;
+  for (size_t c = 0; c < block.NumCols(); ++c) {
+    TRANCE_ASSIGN_OR_RETURN(uint64_t ch, EncodeCell(block.col(c), i));
+    h += SplitMix64(ch);
+  }
   bytes_encoded_ += buf_.size();
-  return EncodedKeyView{SplitMix64(hash_acc_), std::string_view(buf_)};
+  return EncodedKeyView{SplitMix64(h), std::string_view(buf_)};
 }
 
 uint64_t KeyHashOn(const Row& row, const std::vector<int>& cols) {

@@ -71,34 +71,25 @@ class KeyEncoder {
   /// Fails with TypeError on bag-typed fields.
   StatusOr<EncodedKeyView> Encode(const Row& row, const std::vector<int>& cols);
 
-  /// Encodes every field of the row (full-row key, e.g. dedup).
-  StatusOr<EncodedKeyView> EncodeRow(const Row& row);
-
-  /// Encodes block[i][cols] straight from the block's cells; byte- and
-  /// hash-identical to Encode(block.RowAt(i), cols).
+  /// Encodes block[i][cols] straight from the block's typed arrays (a
+  /// variant cell by reference, no Field copy); byte- and hash-identical to
+  /// Encode(block.RowAt(i), cols).
   StatusOr<EncodedKeyView> EncodeAt(const column::PartitionBlock& block,
                                     size_t i, const std::vector<int>& cols);
-  /// Encodes every cell of block row i; identical to
-  /// EncodeRow(block.RowAt(i)).
+  /// Encodes every cell of block row i (full-row key, e.g. dedup);
+  /// identical to Encode(block.RowAt(i), all columns).
   StatusOr<EncodedKeyView> EncodeRowAt(const column::PartitionBlock& block,
                                        size_t i);
-
-  /// Incremental per-field API for callers that project keys column-wise.
-  /// Begin() resets the scratch buffer, Append(field) encodes one key
-  /// column, Finish() seals and returns the view. The byte layout and hash
-  /// are identical to Encode(row, cols) over the same fields in the same
-  /// order.
-  void Begin();
-  Status Append(const Field& f);
-  EncodedKeyView Finish();
 
   /// Total bytes of all successful encodings since construction/reset.
   uint64_t bytes_encoded() const { return bytes_encoded_; }
   void ResetByteCount() { bytes_encoded_ = 0; }
 
  private:
+  /// Appends cell i of `col` to buf_ and returns its Field::Hash.
+  StatusOr<uint64_t> EncodeCell(const column::AnyColumn& col, size_t i);
+
   std::string buf_;
-  uint64_t hash_acc_ = 0;
   uint64_t bytes_encoded_ = 0;
 };
 

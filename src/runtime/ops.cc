@@ -81,39 +81,41 @@ bool HasNullKeyAt(const column::PartitionBlock& b, size_t i,
   return false;
 }
 
-/// Key fields of row i at `cols` (group/key storage).
-std::vector<Field> KeyFields(const column::PartitionBlock& b, size_t i,
-                             const std::vector<int>& cols) {
-  std::vector<Field> out;
-  out.reserve(cols.size());
-  for (int c : cols) out.push_back(b.FieldAt(i, static_cast<size_t>(c)));
-  return out;
-}
-
-/// Partitions entering an operator's partition-local phase — the blocks the
-/// producing shuffle (or reused input) holds — with the deep-size footprint
-/// of each partition. The bytes ride along from the shuffle (where every row
-/// was sized exactly once) so the work meter and memory check never re-walk
-/// rows a shuffle already sized.
+/// Partitions entering an operator's partition-local phase, with the
+/// deep-size footprint of each partition. A shuffle's output is owned. On
+/// the reuse path the input's own store is borrowed, not copied; it is
+/// copied (into `owned`) only when a partition must spill. The bytes ride
+/// along from the shuffle (which sized every row once) or from the O(columns)
+/// block totals, so the work meter and memory check never re-walk rows.
 struct ShuffledParts {
-  PartitionStore store;
+  const PartitionStore* borrowed = nullptr;
+  PartitionStore owned;
   std::vector<uint64_t> bytes;
+
+  const PartitionStore& store() const {
+    return borrowed != nullptr ? *borrowed : owned;
+  }
+  const column::PartitionBlock& block(size_t p) const {
+    return store().block(p);
+  }
+  size_t NumPartitions() const { return store().NumPartitions(); }
 };
 
 /// Hash-shuffles `in` to num_partitions buckets keyed on key_cols, recording
 /// exact cross-partition movement into `stage`. Two-phase and
 /// partition-parallel:
-///   1. each input partition routes its rows block-to-block into its own
-///      per-target bucket blocks, sizing every row once (the size feeds
-///      movement accounting and the output footprint);
-///   2. each target partition concatenates its buckets in fixed
-///      input-partition order into the resident output block.
+///   1. each input partition computes its routing hashes (HashRowsOn ==
+///      RowHashOn) and row sizes (RowBytesOfAll == RowDeepSize) one column
+///      at a time, turns the hashes into a row-index list per target, and
+///      gathers each list column by column into that target's bucket
+///      block; the sizes feed movement accounting and the output
+///      footprint;
+///   2. each target partition concatenates its buckets, column by column,
+///      in fixed input-partition order into the resident output block.
 /// Phase 2's fixed order reproduces the sequential row order exactly, and
 /// the movement histograms are merged in partition order at the phase-1
-/// barrier, so output and stats are identical for any thread count. Columns
-/// move, not rows: routing hashes (PartitionBlock::HashRowOn == RowHashOn)
-/// and per-row sizes (RowBytesAt == RowDeepSize) come straight from the
-/// cells, and no row materializes on either side.
+/// barrier, so output and stats are identical for any thread count. No row
+/// materializes on either side.
 ///
 /// Fault model: phase-1 (map side) tasks read only the immutable input, so a
 /// crash fault re-runs them after discarding the partition's buckets; phase-2
@@ -143,21 +145,23 @@ StatusOr<ShuffledParts> ShuffleByKey(Cluster* cluster, const Dataset& in,
         b.moved.assign(n, 0);
         b.blocks.assign(n, column::PartitionBlock(in.schema));
         const column::PartitionBlock& src = in.store.block(p);
-        const size_t rows = src.NumRows();
-        for (size_t i = 0; i < rows; ++i) {
-          size_t target = static_cast<size_t>(
-              cluster->PartitionOf(src.HashRowOn(i, key_cols)));
-          uint64_t sz = src.RowBytesAt(i);
-          b.bytes[target] += sz;
+        const std::vector<uint64_t> hashes = src.HashRowsOn(key_cols);
+        const std::vector<uint64_t> sizes = src.RowBytesOfAll();
+        std::vector<std::vector<uint32_t>> rows_to(n);
+        for (size_t i = 0; i < hashes.size(); ++i) {
+          size_t target =
+              static_cast<size_t>(cluster->PartitionOf(hashes[i]));
+          b.bytes[target] += sizes[i];
           if (target != p) {
-            b.moved[target] += sz;
-            b.sent += sz;
+            b.moved[target] += sizes[i];
+            b.sent += sizes[i];
             ++b.moved_rows;
           }
-          b.blocks[target].AppendRowFrom(src, i);
+          rows_to[target].push_back(static_cast<uint32_t>(i));
         }
-        for (const auto& tb : b.blocks) {
-          map_col_bytes[p] += tb.ByteFootprint();
+        for (size_t t = 0; t < n; ++t) {
+          b.blocks[t].AppendGather(src, rows_to[t]);
+          map_col_bytes[p] += b.blocks[t].ByteFootprint();
         }
       },
       [&](size_t p) {
@@ -178,7 +182,7 @@ StatusOr<ShuffledParts> ShuffleByKey(Cluster* cluster, const Dataset& in,
   }
 
   ShuffledParts out;
-  out.store.InitBlocks(n, in.schema);
+  out.owned.InitBlocks(n, in.schema);
   out.bytes.assign(n, 0);
   std::vector<uint64_t> fetch_col_bytes(n, 0);
 
@@ -214,7 +218,7 @@ StatusOr<ShuffledParts> ShuffleByKey(Cluster* cluster, const Dataset& in,
     // with the same per-cell sequence the in-memory concatenation performs,
     // so the restored block's footprint equals the never-spilled one.
     for (const std::string& path : runs) {
-      TRANCE_RETURN_NOT_OK(sm->ReadRunIntoBlock(path, &out.store.block(t), c));
+      TRANCE_RETURN_NOT_OK(sm->ReadRunIntoBlock(path, &out.owned.block(t), c));
     }
     for (const std::string& path : runs) sm->RemoveRun(path);
     c->merge_passes += 1;
@@ -234,15 +238,13 @@ StatusOr<ShuffledParts> ShuffleByKey(Cluster* cluster, const Dataset& in,
           }
         }
         if (!spilled) {
-          column::PartitionBlock& dst = out.store.block(t);
+          column::PartitionBlock& dst = out.owned.block(t);
           for (size_t p = 0; p < in_n; ++p) {
-            const auto& src = buckets[p].blocks[t];
-            const size_t rows = src.NumRows();
-            for (size_t i = 0; i < rows; ++i) dst.AppendRowFrom(src, i);
+            dst.AppendBlock(buckets[p].blocks[t]);
             out.bytes[t] += buckets[p].bytes[t];
           }
         }
-        fetch_col_bytes[t] += out.store.block(t).ByteFootprint();
+        fetch_col_bytes[t] += out.owned.block(t).ByteFootprint();
       },
       nullptr));
   TRANCE_RETURN_NOT_OK(FirstError(spill_errs));
@@ -282,30 +284,35 @@ StatusOr<ShuffledParts> ShuffleByKey(Cluster* cluster, const Dataset& in,
   return out;
 }
 
-/// Shuffle path of operators that group/join on `key_cols`: reuses the input
-/// partitions (zero movement — and still one sizing walk for the work meter)
-/// when the guarantee already holds, otherwise hash-shuffles.
+/// Shuffle path of operators that group/join on `key_cols`: borrows the
+/// input partitions (zero movement, no copy — the sizes are O(columns) block
+/// totals) when the guarantee already holds, otherwise hash-shuffles.
 StatusOr<ShuffledParts> ShuffleOrReuse(Cluster* cluster, const Dataset& in,
                                        const std::vector<int>& key_cols,
                                        StageStats* stage) {
   if (in.partitioning.IsHashOn(key_cols)) {
     ShuffledParts out;
-    out.store = in.store;
-    out.bytes = in.PartitionBytes(cluster->num_threads());
+    out.borrowed = &in.store;
+    out.bytes = in.PartitionBytes();
     // Keyed-input spill: on the reuse path no shuffle bounds the partitions,
     // so an oversized keyed-build input spills to runs here and streams back
     // in the original order — the downstream index build then inserts the
     // identical row sequence (same hash_* stats, same group emission order).
     // Partitions spill and restore as block records without materializing a
-    // row. Driver-side, in partition order.
+    // row; the first such partition copies the borrowed input, since the
+    // input itself must stay intact. Driver-side, in partition order.
     if (cluster->spill_enabled()) {
       const uint64_t threshold = cluster->spill_threshold_bytes();
-      for (size_t p = 0; p < out.store.NumPartitions(); ++p) {
+      for (size_t p = 0; p < out.bytes.size(); ++p) {
         if (out.bytes[p] <= threshold) continue;
+        if (out.borrowed != nullptr) {
+          out.owned = in.store;
+          out.borrowed = nullptr;
+        }
         spill::SpillCounters pc;
         TRANCE_RETURN_NOT_OK(cluster->spill_manager()->SpillAndRestoreBlock(
             cluster->current_job_id(), stage->op + ".keyed_input", p,
-            in.schema, &out.store.block(p), &pc));
+            in.schema, &out.owned.block(p), &pc));
         detail::NoteSpill(cluster, stage, stage->op + ".keyed_input", p,
                           out.bytes[p], pc);
       }
@@ -327,65 +334,55 @@ Schema JoinSchema(const Schema& l, const Schema& r) {
   return out;
 }
 
-Row ConcatRows(const Row& l, const Row& r) {
-  Row out;
-  out.fields = l.fields;
-  out.fields.reserve(l.fields.size() + r.fields.size());
-  out.fields.insert(out.fields.end(), r.fields.begin(), r.fields.end());
-  return out;
-}
-
-Row NullPadRight(const Row& l, size_t right_width) {
-  Row out;
-  out.fields = l.fields;
-  out.fields.reserve(l.fields.size() + right_width);
-  for (size_t i = 0; i < right_width; ++i) out.fields.push_back(Field::Null());
-  return out;
-}
-
 /// Partition-local hash join of a left block against a right (build) block,
-/// appending the output rows to `out`. `right_width` NULL-pads left-outer
-/// misses (an empty right partition must still pad fully). The build table
-/// is keyed by compact binary keys encoded straight from the right block's
-/// cells (one arena append per distinct key, no per-probe allocation) and
-/// holds dense per-key chains of row offsets into the block — (block,
-/// row-offset) pairs, never materialized Rows; probe keys encode straight
-/// from the left block. Writes the deep-size footprint of the rows it
-/// appended to *out_bytes and the keyed-phase telemetry into *ks.
+/// appending the output rows to `out` (left columns, then right columns;
+/// left-outer misses pad the right columns with NULLs, which an empty right
+/// block does too, since every block has its schema's width). The build
+/// table is keyed by compact binary keys encoded straight from the right
+/// block's typed cells (one arena append per distinct key, no per-probe
+/// allocation) and holds dense per-key chains of right row offsets, linked
+/// in insertion order; probe keys encode straight from the left block.
+/// The probe only decides which rows meet: it builds a (left row, right row
+/// or kPadRow) index-pair list in output order, and the output block is
+/// then gathered one column at a time. Writes the deep-size footprint of
+/// the rows it appended (a TotalRowBytes delta) to *out_bytes and the
+/// keyed-phase telemetry into *ks.
 Status LocalJoin(const column::PartitionBlock& left,
                  const column::PartitionBlock& right,
                  const std::vector<int>& lk, const std::vector<int>& rk,
-                 JoinType type, size_t right_width,
-                 column::PartitionBlock* out, uint64_t* out_bytes,
-                 StageCounters* ks) {
-  *out_bytes = 0;
-  auto emit = [&](Row&& row) {
-    *out_bytes += RowDeepSize(row);
-    out->AppendRow(row);
-  };
+                 JoinType type, column::PartitionBlock* out,
+                 uint64_t* out_bytes, StageCounters* ks) {
+  constexpr uint32_t kEnd = column::AnyColumn::kPadRow;
   const size_t rn = right.NumRows();
   flat_hash::FlatKeyIndex built(rn);
-  std::vector<std::vector<uint32_t>> chains;
-  chains.reserve(rn);
+  std::vector<uint32_t> head, tail, chain_len;  // [dense key index]
+  std::vector<uint32_t> next(rn, kEnd);         // [right row] chain link
   key_codec::KeyEncoder enc;
   for (size_t i = 0; i < rn; ++i) {
     if (HasNullKeyAt(right, i, rk)) continue;
     TRANCE_ASSIGN_OR_RETURN(key_codec::EncodedKeyView k,
                             enc.EncodeAt(right, i, rk));
     auto [gi, inserted] = built.FindOrInsert(k);
+    const uint32_t row = static_cast<uint32_t>(i);
     if (inserted) {
-      chains.emplace_back();
+      head.push_back(row);
+      tail.push_back(row);
+      chain_len.push_back(1);
       ks->hash_build_rows++;
     } else {
+      next[tail[gi]] = row;
+      tail[gi] = row;
+      ++chain_len[gi];
       ks->hash_probe_hits++;
     }
-    chains[gi].push_back(static_cast<uint32_t>(i));
-    if (chains[gi].size() > ks->hash_max_chain) {
-      ks->hash_max_chain = chains[gi].size();
+    if (chain_len[gi] > ks->hash_max_chain) {
+      ks->hash_max_chain = chain_len[gi];
     }
   }
+  std::vector<uint32_t> lrows, rrows;
   const size_t ln = left.NumRows();
   for (size_t j = 0; j < ln; ++j) {
+    const uint32_t lrow = static_cast<uint32_t>(j);
     bool matched = false;
     if (!HasNullKeyAt(left, j, lk)) {
       TRANCE_ASSIGN_OR_RETURN(key_codec::EncodedKeyView k,
@@ -394,16 +391,29 @@ Status LocalJoin(const column::PartitionBlock& left,
       if (gi != flat_hash::FlatKeyIndex::kNotFound) {
         matched = true;
         ks->hash_probe_hits++;
-        Row l = left.RowAt(j);
-        for (uint32_t ri : chains[gi]) emit(ConcatRows(l, right.RowAt(ri)));
+        for (uint32_t r = head[gi]; r != kEnd; r = next[r]) {
+          lrows.push_back(lrow);
+          rrows.push_back(r);
+        }
       }
     }
     if (!matched && type == JoinType::kLeftOuter) {
-      emit(NullPadRight(left.RowAt(j), right_width));
+      lrows.push_back(lrow);
+      rrows.push_back(column::AnyColumn::kPadRow);
     }
   }
   ks->key_encode_bytes += enc.bytes_encoded();
   NoteTableStats(built, ks);
+  const uint64_t before = out->TotalRowBytes();
+  const size_t lw = left.NumCols();
+  out->AppendColumns(lrows.size(), [&](size_t c, column::AnyColumn* col) {
+    if (c < lw) {
+      col->AppendGather(left.col(c), lrows);
+    } else {
+      col->AppendGather(right.col(c - lw), rrows);
+    }
+  });
+  *out_bytes = out->TotalRowBytes() - before;
   return Status::OK();
 }
 
@@ -492,8 +502,9 @@ StatusOr<Dataset> Repartition(Cluster* cluster, const Dataset& in,
                           ShuffleOrReuse(cluster, in, key_cols, &stage));
   Dataset out;
   out.schema = in.schema;
-  // The shuffled partitions ARE the output — blocks stay resident.
-  out.store = std::move(sp.store);
+  // The shuffled partitions ARE the output — blocks stay resident (a
+  // borrowed input is copied, since the output owns its store).
+  out.store = sp.borrowed != nullptr ? *sp.borrowed : std::move(sp.owned);
   out.partitioning = Partitioning::Hash(std::move(key_cols));
   WorkMeter work(out.NumPartitions());
   for (size_t p = 0; p < out.NumPartitions(); ++p) {
@@ -519,7 +530,7 @@ StatusOr<Dataset> HashJoin(Cluster* cluster, const Dataset& left,
 
   Dataset out;
   out.schema = JoinSchema(left.schema, right.schema);
-  const size_t nparts = lsp.store.NumPartitions();
+  const size_t nparts = lsp.NumPartitions();
   out.store.InitBlocks(nparts, out.schema);
   WorkMeter work(nparts);
   KeyStatsMeter kmeter(nparts);
@@ -529,9 +540,8 @@ StatusOr<Dataset> HashJoin(Cluster* cluster, const Dataset& left,
   TRANCE_RETURN_NOT_OK(cluster->RunRecoverableTasks(
       name, nparts, &stage,
       [&](size_t p) {
-        errs[p] = LocalJoin(lsp.store.block(p), rsp.store.block(p), left_keys,
-                            right_keys, type, right.schema.size(),
-                            &out.store.block(p), &out_bytes[p],
+        errs[p] = LocalJoin(lsp.block(p), rsp.block(p), left_keys, right_keys,
+                            type, &out.store.block(p), &out_bytes[p],
                             &kmeter.slot(p));
         col_bytes[p] = out.store.block(p).ByteFootprint();
         work.Add(p, lsp.bytes[p] + rsp.bytes[p] + out_bytes[p]);
@@ -562,10 +572,9 @@ StatusOr<Dataset> BroadcastJoin(Cluster* cluster, const Dataset& left,
   StageStats stage;
   stage.op = name;
   stage.rows_in = left.NumRows() + right.NumRows();
-  // The broadcast replicates the right side to every partition. One parallel
-  // sizing pass covers the movement accounting and the send histogram.
-  std::vector<uint64_t> right_bytes =
-      right.PartitionBytes(cluster->num_threads());
+  // The broadcast replicates the right side to every partition. The block
+  // totals cover the movement accounting and the send histogram.
+  std::vector<uint64_t> right_bytes = right.PartitionBytes();
   uint64_t bcast_bytes = 0;
   for (uint64_t b : right_bytes) bcast_bytes += b;
   const uint64_t n = static_cast<uint64_t>(cluster->num_partitions());
@@ -603,13 +612,12 @@ StatusOr<Dataset> BroadcastJoin(Cluster* cluster, const Dataset& left,
     AccumulateHistogram(&stage.partition_send_bytes, send);
   }
   // The broadcast copy each receiving partition builds against: the right
-  // side concatenated, in partition order, into one typed block. The copies
-  // are identical, so the driver packs one and every receiving partition is
-  // charged its footprint.
+  // side concatenated column by column, in partition order, into one typed
+  // block. The copies are identical, so the driver packs one and every
+  // receiving partition is charged its footprint.
   column::PartitionBlock bcast(right.schema);
   for (size_t p = 0; p < right.NumPartitions(); ++p) {
-    const column::PartitionBlock& src = right.store.block(p);
-    for (size_t i = 0; i < src.NumRows(); ++i) bcast.AppendRowFrom(src, i);
+    bcast.AppendBlock(right.store.block(p));
   }
   const uint64_t bcast_footprint = bcast.ByteFootprint();
 
@@ -617,8 +625,7 @@ StatusOr<Dataset> BroadcastJoin(Cluster* cluster, const Dataset& left,
   out.schema = JoinSchema(left.schema, right.schema);
   const size_t nparts = left.NumPartitions();
   out.store.InitBlocks(nparts, out.schema);
-  std::vector<uint64_t> left_bytes =
-      left.PartitionBytes(cluster->num_threads());
+  std::vector<uint64_t> left_bytes = left.PartitionBytes();
   WorkMeter work(nparts);
   KeyStatsMeter kmeter(nparts);
   std::vector<uint64_t> out_bytes(nparts, 0);
@@ -628,8 +635,8 @@ StatusOr<Dataset> BroadcastJoin(Cluster* cluster, const Dataset& left,
       name, nparts, &stage,
       [&](size_t p) {
         errs[p] = LocalJoin(left.store.block(p), bcast, left_keys, right_keys,
-                            type, right.schema.size(), &out.store.block(p),
-                            &out_bytes[p], &kmeter.slot(p));
+                            type, &out.store.block(p), &out_bytes[p],
+                            &kmeter.slot(p));
         col_bytes[p] = bcast_footprint + out.store.block(p).ByteFootprint();
         work.Add(p, left_bytes[p] + bcast_bytes + out_bytes[p]);
       },
@@ -686,20 +693,22 @@ StatusOr<Dataset> NestGroup(Cluster* cluster, const Dataset& in,
 
   Dataset out;
   out.schema = out_schema;
-  const size_t nparts = sp.store.NumPartitions();
+  const size_t nparts = sp.NumPartitions();
   out.store.InitBlocks(nparts, out_schema);
   WorkMeter work(nparts);
   std::vector<uint64_t> out_bytes(nparts, 0);
   std::vector<uint64_t> col_bytes(nparts, 0);
   KeyStatsMeter kmeter(nparts);
   std::vector<Status> errs(nparts);
-  // Groups are (key fields of the first row that created the group,
-  // members), in first-seen order. Keys encode and members project straight
-  // from the block's cells; only the inner Row of a non-miss member
-  // materializes.
+  // Groups are (row index of the row that created the group, members), in
+  // first-seen order. Keys encode and members project straight from the
+  // block's cells; only the inner Row of a non-miss member materializes.
+  // The output's key columns are gathered from the first rows, one column
+  // at a time.
   auto nest_partition = [&](size_t p) -> Status {
-    const column::PartitionBlock& v = sp.store.block(p);
-    std::vector<std::pair<std::vector<Field>, std::vector<Row>>> groups;
+    const column::PartitionBlock& v = sp.block(p);
+    std::vector<uint32_t> first_rows;
+    std::vector<std::vector<Row>> members;
     std::vector<uint64_t> group_rows;  // rows mapped per group (chain stat)
     StageCounters& ks = kmeter.slot(p);
     flat_hash::FlatKeyIndex index;
@@ -710,7 +719,8 @@ StatusOr<Dataset> NestGroup(Cluster* cluster, const Dataset& in,
                               enc.EncodeAt(v, i, key_cols));
       auto [gi, inserted] = index.FindOrInsert(k);
       if (inserted) {
-        groups.emplace_back(KeyFields(v, i, key_cols), std::vector<Row>{});
+        first_rows.push_back(static_cast<uint32_t>(i));
+        members.emplace_back();
         group_rows.push_back(0);
         ks.hash_build_rows++;
       } else {
@@ -734,19 +744,21 @@ StatusOr<Dataset> NestGroup(Cluster* cluster, const Dataset& in,
         for (int c : value_cols) {
           inner.fields.push_back(v.FieldAt(i, static_cast<size_t>(c)));
         }
-        groups[gi].second.push_back(std::move(inner));
+        members[gi].push_back(std::move(inner));
       }
     }
     ks.key_encode_bytes += enc.bytes_encoded();
     NoteTableStats(index, &ks);
     column::PartitionBlock& dst = out.store.block(p);
-    for (auto& [key_fields, members] : groups) {
-      Row row;
-      row.fields = std::move(key_fields);
-      row.fields.push_back(Field::Bag(std::move(members)));
-      out_bytes[p] += RowDeepSize(row);
-      dst.AppendRow(row);
-    }
+    const uint64_t before = dst.TotalRowBytes();
+    dst.AppendColumns(first_rows.size(), [&](size_t c, column::AnyColumn* col) {
+      if (c < key_cols.size()) {
+        col->AppendGather(v.col(static_cast<size_t>(key_cols[c])), first_rows);
+        return;
+      }
+      for (auto& m : members) col->Append(Field::Bag(std::move(m)));
+    });
+    out_bytes[p] = dst.TotalRowBytes() - before;
     col_bytes[p] = dst.ByteFootprint();
     work.Add(p, sp.bytes[p] + out_bytes[p]);
     return Status::OK();
@@ -817,36 +829,30 @@ StatusOr<Dataset> SumAggregate(Cluster* cluster, const Dataset& in,
   // Local aggregation of one partition block into (key, sums) rows appended
   // to `out`. A row whose value fields are all NULL marks an outer miss: it
   // creates the group but contributes nothing; groups with no contribution
-  // emit NULL values. Groups keep the key fields of the first row that
-  // created them, in first-seen order; keys encode and values read straight
-  // from the block's cells. Reads only its arguments and the (const)
-  // captured column metadata, so the partition-parallel loops below may
-  // share it.
-  struct Acc {
-    std::vector<double> sums;
-    bool seen = false;
-  };
+  // emit NULL values. Groups keep the row index of the row that created
+  // them, in first-seen order. The row pass only encodes keys and maps each
+  // row to its group; sums then accumulate one value column at a time from
+  // the typed arrays (every group's additions stay in row order, so the
+  // doubles round exactly as a row-at-a-time pass would), and the output's
+  // key columns are gathered from the first rows. Reads only its arguments
+  // and the (const) captured column metadata, so the partition-parallel
+  // loops below may share it.
   auto aggregate = [&](const column::PartitionBlock& v, bool rows_are_partial,
                        StageCounters* ks, column::PartitionBlock* out,
                        uint64_t* emitted_bytes) -> Status {
-    std::vector<std::pair<std::vector<Field>, Acc>> groups;
+    std::vector<uint32_t> first_rows;
     std::vector<uint64_t> group_rows;
     const std::vector<int>& cols = rows_are_partial ? partial_keys : key_cols;
-    auto value_col_of = [&](size_t vi) {
-      return rows_are_partial ? key_cols.size() + vi
-                              : static_cast<size_t>(value_cols[vi]);
-    };
     flat_hash::FlatKeyIndex index;
     key_codec::KeyEncoder enc;
     const size_t rows = v.NumRows();
+    std::vector<uint32_t> group_of(rows);
     for (size_t i = 0; i < rows; ++i) {
       TRANCE_ASSIGN_OR_RETURN(key_codec::EncodedKeyView k,
                               enc.EncodeAt(v, i, cols));
       auto [gi, inserted] = index.FindOrInsert(k);
       if (inserted) {
-        Acc acc;
-        acc.sums.assign(value_cols.size(), 0.0);
-        groups.emplace_back(KeyFields(v, i, cols), std::move(acc));
+        first_rows.push_back(static_cast<uint32_t>(i));
         group_rows.push_back(0);
         ks->hash_build_rows++;
       } else {
@@ -855,35 +861,62 @@ StatusOr<Dataset> SumAggregate(Cluster* cluster, const Dataset& in,
       if (++group_rows[gi] > ks->hash_max_chain) {
         ks->hash_max_chain = group_rows[gi];
       }
-      Acc& acc = groups[gi].second;
-      bool all_null = !value_cols.empty();
-      for (size_t vi = 0; vi < value_cols.size(); ++vi) {
-        if (!v.IsNull(i, value_col_of(vi))) all_null = false;
-      }
-      if (all_null) continue;  // miss marker: group exists, no contribution
-      acc.seen = true;
-      for (size_t vi = 0; vi < value_cols.size(); ++vi) {
-        Field f = v.FieldAt(i, value_col_of(vi));
-        if (!f.is_null()) acc.sums[vi] += f.AsNumber();  // lone NULL casts to 0
-      }
+      group_of[i] = gi;
     }
     ks->key_encode_bytes += enc.bytes_encoded();
     NoteTableStats(index, ks);
-    for (auto& [key_fields, acc] : groups) {
-      Row row;
-      row.fields = std::move(key_fields);
-      for (size_t i = 0; i < acc.sums.size(); ++i) {
-        if (!acc.seen) {
-          row.fields.push_back(Field::Null());
+
+    // A group contributes once any of its rows has a non-NULL value cell
+    // (a lone NULL among values adds nothing, i.e. casts to 0).
+    const size_t groups = first_rows.size();
+    const size_t nv = value_cols.size();
+    std::vector<double> sums(groups * nv, 0.0);  // [group * nv + value]
+    std::vector<uint8_t> seen(groups, nv == 0 ? 1 : 0);
+    for (size_t vi = 0; vi < nv; ++vi) {
+      const column::AnyColumn& col = v.col(
+          rows_are_partial ? cols.size() + vi
+                           : static_cast<size_t>(value_cols[vi]));
+      auto add = [&](size_t i, double x) {
+        sums[group_of[i] * nv + vi] += x;
+        seen[group_of[i]] = 1;
+      };
+      switch (col.kind()) {
+        case column::AnyColumn::Kind::kInt64:
+          for (size_t i = 0; i < rows; ++i) {
+            if (!col.IsNull(i)) add(i, static_cast<double>(col.ints()[i]));
+          }
+          break;
+        case column::AnyColumn::Kind::kReal:
+          for (size_t i = 0; i < rows; ++i) {
+            if (!col.IsNull(i)) add(i, col.reals()[i]);
+          }
+          break;
+        default:
+          for (size_t i = 0; i < rows; ++i) {
+            if (!col.IsNull(i)) add(i, col.At(i).AsNumber());
+          }
+          break;
+      }
+    }
+
+    const uint64_t before = out->TotalRowBytes();
+    out->AppendColumns(groups, [&](size_t c, column::AnyColumn* col) {
+      if (c < cols.size()) {
+        col->AppendGather(v.col(static_cast<size_t>(cols[c])), first_rows);
+        return;
+      }
+      const size_t vi = c - cols.size();
+      for (size_t g = 0; g < groups; ++g) {
+        if (!seen[g]) {
+          col->Append(Field::Null());
+        } else if (is_int[vi]) {
+          col->Append(Field::Int(static_cast<int64_t>(sums[g * nv + vi])));
         } else {
-          row.fields.push_back(
-              is_int[i] ? Field::Int(static_cast<int64_t>(acc.sums[i]))
-                        : Field::Real(acc.sums[i]));
+          col->Append(Field::Real(sums[g * nv + vi]));
         }
       }
-      *emitted_bytes += RowDeepSize(row);
-      out->AppendRow(row);
-    }
+    });
+    *emitted_bytes += out->TotalRowBytes() - before;
     return Status::OK();
   };
 
@@ -900,8 +933,7 @@ StatusOr<Dataset> SumAggregate(Cluster* cluster, const Dataset& in,
   {
     std::vector<uint64_t> local_work(in_parts, 0);
     if (map_side_combine) {
-      std::vector<uint64_t> in_bytes =
-          in.PartitionBytes(cluster->num_threads());
+      std::vector<uint64_t> in_bytes = in.PartitionBytes();
       KeyStatsMeter kmeter(in_parts);
       std::vector<Status> errs(in_parts);
       TRANCE_RETURN_NOT_OK(cluster->RunRecoverableTasks(
@@ -923,32 +955,23 @@ StatusOr<Dataset> SumAggregate(Cluster* cluster, const Dataset& in,
       TRANCE_RETURN_NOT_OK(FirstError(errs));
       kmeter.Finalize(&stage);
     } else {
-      // Reshape rows to (key, value) layout without combining. Cells project
-      // straight from the block; no keyed container.
+      // Reshape rows to (key, value) layout without combining: a column
+      // projection, each output column copied whole from its source column;
+      // no keyed container. NULLs pass through so the final aggregation
+      // pass can apply the miss-marker rule uniformly.
       TRANCE_RETURN_NOT_OK(cluster->RunRecoverableTasks(
           name + ".reshape", in_parts, &stage,
           [&](size_t p) {
             const column::PartitionBlock& v = in.store.block(p);
             column::PartitionBlock& dst = partial.store.block(p);
-            uint64_t in_bytes = 0;
             const size_t rows = v.NumRows();
-            for (size_t i = 0; i < rows; ++i) {
-              in_bytes += v.RowBytesAt(i);
-              Row r;
-              r.fields.reserve(key_cols.size() + value_cols.size());
-              for (int c : key_cols) {
-                r.fields.push_back(v.FieldAt(i, static_cast<size_t>(c)));
-              }
-              for (size_t vi = 0; vi < value_cols.size(); ++vi) {
-                // NULLs pass through so the final aggregation pass can apply
-                // the miss-marker rule uniformly.
-                r.fields.push_back(
-                    v.FieldAt(i, static_cast<size_t>(value_cols[vi])));
-              }
-              dst.AppendRow(r);
-            }
+            dst.AppendColumns(rows, [&](size_t c, column::AnyColumn* col) {
+              int sc = c < key_cols.size() ? key_cols[c]
+                                           : value_cols[c - key_cols.size()];
+              col->AppendRange(v.col(static_cast<size_t>(sc)), 0, rows);
+            });
             pre_col_bytes[p] = dst.ByteFootprint();
-            local_work[p] = in_bytes;
+            local_work[p] = v.TotalRowBytes();
           },
           [&](size_t p) {
             partial.store.Clear(p);
@@ -969,7 +992,7 @@ StatusOr<Dataset> SumAggregate(Cluster* cluster, const Dataset& in,
 
   Dataset out;
   out.schema = out_schema;
-  const size_t nparts = sp.store.NumPartitions();
+  const size_t nparts = sp.NumPartitions();
   out.store.InitBlocks(nparts, out_schema);
   std::vector<uint64_t> out_bytes(nparts, 0);
   std::vector<uint64_t> fin_col_bytes(nparts, 0);
@@ -980,7 +1003,7 @@ StatusOr<Dataset> SumAggregate(Cluster* cluster, const Dataset& in,
     TRANCE_RETURN_NOT_OK(cluster->RunRecoverableTasks(
         name, nparts, &stage,
         [&](size_t p) {
-          errs[p] = aggregate(sp.store.block(p), true, &kmeter.slot(p),
+          errs[p] = aggregate(sp.block(p), true, &kmeter.slot(p),
                               &out.store.block(p), &out_bytes[p]);
           fin_col_bytes[p] = out.store.block(p).ByteFootprint();
           local_work[p] = sp.bytes[p] + out_bytes[p];
@@ -1070,10 +1093,7 @@ StatusOr<Dataset> UnionAll(Cluster* cluster, const Dataset& a,
       [&](size_t p) {
         column::PartitionBlock& dst = out.store.block(p);
         for (const Dataset* d : {&a, &b}) {
-          if (p >= d->NumPartitions()) continue;
-          const column::PartitionBlock& src = d->store.block(p);
-          const size_t rows = src.NumRows();
-          for (size_t i = 0; i < rows; ++i) dst.AppendRowFrom(src, i);
+          if (p < d->NumPartitions()) dst.AppendBlock(d->store.block(p));
         }
         col_bytes[p] = dst.ByteFootprint();
       },
@@ -1100,7 +1120,7 @@ StatusOr<Dataset> Distinct(Cluster* cluster, const Dataset& in,
                           ShuffleOrReuse(cluster, in, all_cols, &stage));
   Dataset out;
   out.schema = in.schema;
-  const size_t nparts = sp.store.NumPartitions();
+  const size_t nparts = sp.NumPartitions();
   out.store.InitBlocks(nparts, in.schema);
   WorkMeter work(nparts);
   std::vector<uint64_t> out_bytes(nparts, 0);
@@ -1109,14 +1129,16 @@ StatusOr<Dataset> Distinct(Cluster* cluster, const Dataset& in,
   std::vector<Status> errs(nparts);
   // The membership test encodes every cell of the row straight from the
   // block and probes without materializing; the first occurrence of each
-  // key copies column-to-column into the output block. Per-key duplicate
-  // counts (the chain stat) live densely beside the index.
+  // key joins a row-index list that is gathered, column by column, into
+  // the output block. Per-key duplicate counts (the chain stat) live
+  // densely beside the index.
   auto dedup_partition = [&](size_t p) -> Status {
     StageCounters& ks = kmeter.slot(p);
-    const column::PartitionBlock& v = sp.store.block(p);
+    const column::PartitionBlock& v = sp.block(p);
     column::PartitionBlock& dst = out.store.block(p);
     flat_hash::FlatKeyIndex seen;
     std::vector<uint64_t> counts;
+    std::vector<uint32_t> firsts;
     key_codec::KeyEncoder enc;
     const size_t rows = v.NumRows();
     for (size_t i = 0; i < rows; ++i) {
@@ -1127,8 +1149,7 @@ StatusOr<Dataset> Distinct(Cluster* cluster, const Dataset& in,
         counts.push_back(1);
         ks.hash_build_rows++;
         if (ks.hash_max_chain < 1) ks.hash_max_chain = 1;
-        out_bytes[p] += v.RowBytesAt(i);
-        dst.AppendRowFrom(v, i);
+        firsts.push_back(static_cast<uint32_t>(i));
       } else {
         ks.hash_probe_hits++;
         if (++counts[gi] > ks.hash_max_chain) ks.hash_max_chain = counts[gi];
@@ -1136,6 +1157,9 @@ StatusOr<Dataset> Distinct(Cluster* cluster, const Dataset& in,
     }
     ks.key_encode_bytes += enc.bytes_encoded();
     NoteTableStats(seen, &ks);
+    const uint64_t before = dst.TotalRowBytes();
+    dst.AppendGather(v, firsts);
+    out_bytes[p] = dst.TotalRowBytes() - before;
     col_bytes[p] = dst.ByteFootprint();
     work.Add(p, sp.bytes[p] + out_bytes[p]);
     return Status::OK();
@@ -1185,17 +1209,22 @@ StatusOr<Dataset> CoGroup(Cluster* cluster, const Dataset& left,
 
   Dataset out;
   out.schema = std::move(out_schema);
-  const size_t nparts = lsp.store.NumPartitions();
+  const size_t nparts = lsp.NumPartitions();
   out.store.InitBlocks(nparts, out.schema);
   WorkMeter work(nparts);
   std::vector<uint64_t> out_bytes(nparts, 0);
   std::vector<uint64_t> col_bytes(nparts, 0);
   KeyStatsMeter kmeter(nparts);
   std::vector<Status> errs(nparts);
+  // The right side builds one chain of projected bag members per key; a
+  // chain becomes an immutable BagPtr the first time a left row matches it,
+  // and every left row with that key shares it (misses share one empty
+  // bag). Sharing is unobservable: a bag's deep size and equality do not
+  // depend on which Field holds it. The left columns are gathered whole.
   auto cogroup_partition = [&](size_t p) -> Status {
     StageCounters& ks = kmeter.slot(p);
-    const column::PartitionBlock& vl = lsp.store.block(p);
-    const column::PartitionBlock& vr = rsp.store.block(p);
+    const column::PartitionBlock& vl = lsp.block(p);
+    const column::PartitionBlock& vr = rsp.block(p);
     column::PartitionBlock& dst = out.store.block(p);
     flat_hash::FlatKeyIndex built;
     std::vector<std::vector<Row>> chains;  // dense index -> right rows
@@ -1224,30 +1253,35 @@ StatusOr<Dataset> CoGroup(Cluster* cluster, const Dataset& left,
         ks.hash_max_chain = chains[gi].size();
       }
     }
+    const BagPtr empty = std::make_shared<const BagRows>(std::vector<Row>{});
+    std::vector<BagPtr> bags(chains.size());
     const size_t lrows = vl.NumRows();
+    std::vector<const BagPtr*> bag_of(lrows, &empty);
     for (size_t j = 0; j < lrows; ++j) {
-      const std::vector<Row>* matches = nullptr;
-      if (!HasNullKeyAt(vl, j, left_keys)) {
-        TRANCE_ASSIGN_OR_RETURN(key_codec::EncodedKeyView k,
-                                enc.EncodeAt(vl, j, left_keys));
-        uint32_t gi = built.Find(k);
-        if (gi != flat_hash::FlatKeyIndex::kNotFound) {
-          ks.hash_probe_hits++;
-          matches = &chains[gi];
-        }
+      if (HasNullKeyAt(vl, j, left_keys)) continue;
+      TRANCE_ASSIGN_OR_RETURN(key_codec::EncodedKeyView k,
+                              enc.EncodeAt(vl, j, left_keys));
+      uint32_t gi = built.Find(k);
+      if (gi == flat_hash::FlatKeyIndex::kNotFound) continue;
+      ks.hash_probe_hits++;
+      if (bags[gi] == nullptr) {
+        bags[gi] = std::make_shared<const BagRows>(std::move(chains[gi]));
       }
-      Row row = vl.RowAt(j);  // transient: emitted immediately
-      row.fields.push_back(matches == nullptr
-                               ? Field::Bag(std::vector<Row>{})
-                               : Field::Bag(*matches));
-      uint64_t sz = RowDeepSize(row);
-      work.Add(p, sz);
-      out_bytes[p] += sz;
-      dst.AppendRow(row);
+      bag_of[j] = &bags[gi];
     }
     ks.key_encode_bytes += enc.bytes_encoded();
     NoteTableStats(built, &ks);
-    work.Add(p, lsp.bytes[p] + rsp.bytes[p]);
+    const uint64_t before = dst.TotalRowBytes();
+    const size_t lw = vl.NumCols();
+    dst.AppendColumns(lrows, [&](size_t c, column::AnyColumn* col) {
+      if (c < lw) {
+        col->AppendRange(vl.col(c), 0, lrows);
+        return;
+      }
+      for (const BagPtr* b : bag_of) col->Append(Field::Bag(*b));
+    });
+    out_bytes[p] = dst.TotalRowBytes() - before;
+    work.Add(p, lsp.bytes[p] + rsp.bytes[p] + out_bytes[p]);
     col_bytes[p] = dst.ByteFootprint();
     return Status::OK();
   };

@@ -35,7 +35,7 @@ Status FinishStage(Cluster* cluster, StageStats stage, Dataset* result,
                    std::vector<uint64_t> part_bytes) {
   stage.rows_out = result->NumRows();
   if (part_bytes.empty()) {
-    part_bytes = result->PartitionBytes(cluster->num_threads());
+    part_bytes = result->PartitionBytes();
   }
   for (uint64_t b : part_bytes) {
     if (b > stage.mem_high_water_bytes) stage.mem_high_water_bytes = b;

@@ -33,9 +33,9 @@ SkewTriple SkewTriple::AllLight(Dataset ds) {
   return t;
 }
 
-StatusOr<Dataset> MergeTriple(Cluster* cluster, const SkewTriple& t,
+StatusOr<Dataset> MergeTriple(Cluster* cluster, SkewTriple t,
                               const std::string& name) {
-  if (t.heavy.NumRows() == 0) return t.light;
+  if (t.heavy.NumRows() == 0) return std::move(t.light);
   return runtime::UnionAll(cluster, t.light, t.heavy, name + ".merge");
 }
 
@@ -119,22 +119,29 @@ StatusOr<SkewTriple> SplitByHeavyKeys(Cluster* cluster, const Dataset& in,
   out.heavy.partitioning = Partitioning::None();
   StageStats stage;
   stage.op = name + ".split";
-  // Rows copy block to block; heaviness is tested on keys encoded straight
-  // from the source block's cells (a key that cannot encode stays light).
+  // Heaviness is tested on keys encoded straight from the source block's
+  // cells (a key that cannot encode stays light); the row pass only splits
+  // the row indices into a light and a heavy list, and each list is then
+  // gathered column by column.
   key_codec::KeyEncoder enc;
   for (size_t p = 0; p < nparts; ++p) {
     const column::PartitionBlock& src = in.store.block(p);
     column::PartitionBlock& light = out.light.store.block(p);
     column::PartitionBlock& heavy = out.heavy.store.block(p);
     const size_t part_rows = src.NumRows();
-    for (size_t i = 0; i < part_rows; ++i) {
-      ++stage.rows_in;
-      bool is_heavy = false;
-      if (!hk.empty()) {
+    stage.rows_in += part_rows;
+    if (hk.empty()) {
+      light.AppendBlock(src);
+    } else {
+      std::vector<uint32_t> light_rows, heavy_rows;
+      for (size_t i = 0; i < part_rows; ++i) {
         auto kv = enc.EncodeAt(src, i, key_cols);
-        is_heavy = kv.ok() && hk.Contains(kv.value());
+        bool is_heavy = kv.ok() && hk.Contains(kv.value());
+        (is_heavy ? heavy_rows : light_rows)
+            .push_back(static_cast<uint32_t>(i));
       }
-      (is_heavy ? heavy : light).AppendRowFrom(src, i);
+      light.AppendGather(src, light_rows);
+      heavy.AppendGather(src, heavy_rows);
     }
     stage.columnar_bytes += light.ByteFootprint() + heavy.ByteFootprint();
   }
@@ -146,8 +153,8 @@ StatusOr<SkewTriple> SplitByHeavyKeys(Cluster* cluster, const Dataset& in,
   return out;
 }
 
-StatusOr<SkewTriple> SkewAwareJoin(Cluster* cluster, const SkewTriple& left,
-                                   const SkewTriple& right,
+StatusOr<SkewTriple> SkewAwareJoin(Cluster* cluster, SkewTriple left,
+                                   SkewTriple right,
                                    std::vector<int> left_keys,
                                    std::vector<int> right_keys,
                                    JoinType type, const std::string& name) {
@@ -155,10 +162,10 @@ StatusOr<SkewTriple> SkewAwareJoin(Cluster* cluster, const SkewTriple& left,
   // computed on the same columns, otherwise merge and re-detect.
   SkewTriple x;
   if (left.heavy_keys.has_value() && left.heavy_keys->key_cols == left_keys) {
-    x = left;
+    x = std::move(left);
   } else {
-    TRANCE_ASSIGN_OR_RETURN(Dataset merged,
-                            MergeTriple(cluster, left, name + ".lhs"));
+    TRANCE_ASSIGN_OR_RETURN(
+        Dataset merged, MergeTriple(cluster, std::move(left), name + ".lhs"));
     TRANCE_ASSIGN_OR_RETURN(
         x, SplitByHeavyKeys(cluster, merged, left_keys, std::nullopt,
                             name + ".lhs"));
@@ -166,7 +173,8 @@ StatusOr<SkewTriple> SkewAwareJoin(Cluster* cluster, const SkewTriple& left,
   const HeavyKeySet& hk = *x.heavy_keys;
 
   // Y_L = Y.filter(!hk(g(y))); Y_H = Y.filter(hk(g(y))).
-  TRANCE_ASSIGN_OR_RETURN(Dataset y, MergeTriple(cluster, right, name + ".rhs"));
+  TRANCE_ASSIGN_OR_RETURN(
+      Dataset y, MergeTriple(cluster, std::move(right), name + ".rhs"));
   HeavyKeySet rhk = hk;
   rhk.key_cols = right_keys;
   TRANCE_ASSIGN_OR_RETURN(
@@ -191,15 +199,16 @@ StatusOr<SkewTriple> SkewAwareJoin(Cluster* cluster, const SkewTriple& left,
   return out;
 }
 
-StatusOr<SkewTriple> SkewAwareBagToDict(Cluster* cluster, const SkewTriple& in,
+StatusOr<SkewTriple> SkewAwareBagToDict(Cluster* cluster, SkewTriple in,
                                         int label_col,
                                         const std::string& name) {
   SkewTriple x;
   std::vector<int> cols{label_col};
   if (in.heavy_keys.has_value() && in.heavy_keys->key_cols == cols) {
-    x = in;
+    x = std::move(in);
   } else {
-    TRANCE_ASSIGN_OR_RETURN(Dataset merged, MergeTriple(cluster, in, name));
+    TRANCE_ASSIGN_OR_RETURN(Dataset merged,
+                            MergeTriple(cluster, std::move(in), name));
     TRANCE_ASSIGN_OR_RETURN(
         x, SplitByHeavyKeys(cluster, merged, cols, std::nullopt, name));
   }
@@ -210,8 +219,8 @@ StatusOr<SkewTriple> SkewAwareBagToDict(Cluster* cluster, const SkewTriple& in,
       runtime::Repartition(cluster, x.light, cols, name + ".light"));
   SkewTriple out;
   out.light = std::move(light);
-  out.heavy = x.heavy;
-  out.heavy_keys = x.heavy_keys;
+  out.heavy = std::move(x.heavy);
+  out.heavy_keys = std::move(x.heavy_keys);
   return out;
 }
 

@@ -64,9 +64,10 @@ struct SkewTriple {
 };
 
 /// Merges light and heavy back into one dataset (partition-wise concat; no
-/// shuffle).
-StatusOr<runtime::Dataset> MergeTriple(runtime::Cluster* cluster,
-                                       const SkewTriple& t,
+/// shuffle). Takes the triple by value: with an empty heavy component the
+/// light dataset is moved out, so a caller that passes its triple with
+/// std::move pays no copy.
+StatusOr<runtime::Dataset> MergeTriple(runtime::Cluster* cluster, SkewTriple t,
                                        const std::string& name);
 
 /// Samples each partition and returns the heavy keys of `in` on `key_cols`
@@ -84,10 +85,9 @@ StatusOr<SkewTriple> SplitByHeavyKeys(runtime::Cluster* cluster,
 
 /// Fig. 6 skew-aware join. The left side is the (potentially skewed) big
 /// side: its heavy keys drive the split; the matching heavy rows of `right`
-/// are broadcast.
-StatusOr<SkewTriple> SkewAwareJoin(runtime::Cluster* cluster,
-                                   const SkewTriple& left,
-                                   const SkewTriple& right,
+/// are broadcast. The triples are taken by value and consumed.
+StatusOr<SkewTriple> SkewAwareJoin(runtime::Cluster* cluster, SkewTriple left,
+                                   SkewTriple right,
                                    std::vector<int> left_keys,
                                    std::vector<int> right_keys,
                                    runtime::JoinType type,
@@ -95,8 +95,9 @@ StatusOr<SkewTriple> SkewAwareJoin(runtime::Cluster* cluster,
 
 /// Fig. 6 skew-aware BagToDict: repartitions light labels, leaves heavy
 /// labels in place, and returns the triple with the detected heavy label set.
+/// The triple is taken by value and consumed.
 StatusOr<SkewTriple> SkewAwareBagToDict(runtime::Cluster* cluster,
-                                        const SkewTriple& in, int label_col,
+                                        SkewTriple in, int label_col,
                                         const std::string& name);
 
 }  // namespace skew

@@ -1,9 +1,12 @@
 // Unit tests for the distributed runtime simulator: partitioning guarantees,
-// exact shuffle accounting, joins, nest/aggregate, unnest, memory caps.
+// exact shuffle accounting, joins, nest/aggregate, unnest, memory caps, and
+// every keyed operator against a row-at-a-time reference.
 #include <gtest/gtest.h>
 
 #include "runtime/cluster.h"
 #include "runtime/ops.h"
+#include "stats_test_util.h"
+#include "util/random.h"
 
 namespace trance {
 namespace runtime {
@@ -582,6 +585,437 @@ TEST(OpsTest, SimulatedTimeReflectsStragglers) {
     return cluster.stats().sim_seconds();
   };
   EXPECT_GT(run(true), run(false) * 2);
+}
+
+
+// --- Keyed operators against a row-at-a-time reference --------------------
+//
+// The keyed operators decide row placement with row-index lists and build
+// their outputs one column at a time. The reference below recomputes every
+// output from PartitionRows, one row at a time, with the definitions the
+// operators document: hash placement by RowHashOn, key identity as the
+// codec's (Field-equal and hash-equal per column, so Int(1) and Real(1.0)
+// are distinct keys), NULL keys never joining, first-seen group order, and
+// the miss-marker rules.
+
+using Parts = std::vector<std::vector<Row>>;
+
+Parts PartsOf(const Dataset& d) {
+  Parts out;
+  for (size_t p = 0; p < d.NumPartitions(); ++p) {
+    out.push_back(d.PartitionRows(p));
+  }
+  return out;
+}
+
+bool SameKey(const Row& a, const std::vector<int>& ca, const Row& b,
+             const std::vector<int>& cb) {
+  for (size_t k = 0; k < ca.size(); ++k) {
+    const Field& x = a.fields[static_cast<size_t>(ca[k])];
+    const Field& y = b.fields[static_cast<size_t>(cb[k])];
+    if (!(x == y) || x.Hash() != y.Hash()) return false;
+  }
+  return true;
+}
+
+bool HasNullKey(const Row& r, const std::vector<int>& cols) {
+  for (int c : cols) {
+    if (r.fields[static_cast<size_t>(c)].is_null()) return true;
+  }
+  return false;
+}
+
+Row Project(const Row& r, const std::vector<int>& cols) {
+  Row out;
+  for (int c : cols) out.fields.push_back(r.fields[static_cast<size_t>(c)]);
+  return out;
+}
+
+Row Concat(const Row& a, const Row& b) {
+  Row out = a;
+  out.fields.insert(out.fields.end(), b.fields.begin(), b.fields.end());
+  return out;
+}
+
+std::vector<int> Iota(size_t from, size_t n) {
+  std::vector<int> out;
+  for (size_t i = 0; i < n; ++i) out.push_back(static_cast<int>(from + i));
+  return out;
+}
+
+/// ShuffleOrReuse: a reused input keeps its partitions; otherwise every row
+/// moves to PartitionOf(RowHashOn) and each target concatenates its sources
+/// in partition order.
+Parts RefShuffle(Cluster* cluster, const Parts& in, bool reuse,
+                 const std::vector<int>& keys) {
+  if (reuse) return in;
+  Parts out(static_cast<size_t>(cluster->num_partitions()));
+  for (const auto& part : in) {
+    for (const Row& r : part) {
+      out[static_cast<size_t>(cluster->PartitionOf(RowHashOn(r, keys)))]
+          .push_back(r);
+    }
+  }
+  return out;
+}
+
+/// Row indices of each group of `rows` on `keys`, groups in first-seen order.
+std::vector<std::vector<size_t>> RefGroups(const std::vector<Row>& rows,
+                                           const std::vector<int>& keys) {
+  std::vector<std::vector<size_t>> groups;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    bool found = false;
+    for (auto& g : groups) {
+      if (SameKey(rows[g[0]], keys, rows[i], keys)) {
+        g.push_back(i);
+        found = true;
+        break;
+      }
+    }
+    if (!found) groups.push_back({i});
+  }
+  return groups;
+}
+
+Parts RefJoin(const Parts& l, const Parts& r, const std::vector<int>& lk,
+              const std::vector<int>& rk, JoinType type, size_t right_width) {
+  Parts out(l.size());
+  for (size_t p = 0; p < l.size(); ++p) {
+    for (const Row& lr : l[p]) {
+      bool matched = false;
+      if (!HasNullKey(lr, lk)) {
+        for (const Row& rr : r[p]) {
+          if (HasNullKey(rr, rk) || !SameKey(lr, lk, rr, rk)) continue;
+          matched = true;
+          out[p].push_back(Concat(lr, rr));
+        }
+      }
+      if (!matched && type == JoinType::kLeftOuter) {
+        out[p].push_back(
+            Concat(lr, Row(std::vector<Field>(right_width, Field::Null()))));
+      }
+    }
+  }
+  return out;
+}
+
+Parts RefCoGroup(const Parts& l, const Parts& r, const std::vector<int>& lk,
+                 const std::vector<int>& rk, const std::vector<int>& vals) {
+  Parts out(l.size());
+  for (size_t p = 0; p < l.size(); ++p) {
+    for (const Row& lr : l[p]) {
+      std::vector<Row> bag;
+      if (!HasNullKey(lr, lk)) {
+        for (const Row& rr : r[p]) {
+          if (!HasNullKey(rr, rk) && SameKey(lr, lk, rr, rk)) {
+            bag.push_back(Project(rr, vals));
+          }
+        }
+      }
+      Row row = lr;
+      row.fields.push_back(Field::Bag(std::move(bag)));
+      out[p].push_back(std::move(row));
+    }
+  }
+  return out;
+}
+
+Parts RefNest(const Parts& in, const std::vector<int>& keys,
+              const std::vector<int>& vals, const std::vector<int>& miss_cols) {
+  Parts out(in.size());
+  for (size_t p = 0; p < in.size(); ++p) {
+    for (const auto& g : RefGroups(in[p], keys)) {
+      std::vector<Row> bag;
+      for (size_t i : g) {
+        bool miss = !miss_cols.empty();
+        for (int c : miss_cols) {
+          miss &= in[p][i].fields[static_cast<size_t>(c)].is_null();
+        }
+        if (!miss) bag.push_back(Project(in[p][i], vals));
+      }
+      Row row = Project(in[p][g[0]], keys);
+      row.fields.push_back(Field::Bag(std::move(bag)));
+      out[p].push_back(std::move(row));
+    }
+  }
+  return out;
+}
+
+/// One aggregation pass: (keys, sums) per group; all-NULL value rows are
+/// misses, a group without a contribution emits NULLs.
+std::vector<Row> RefAggregate(const std::vector<Row>& rows,
+                              const std::vector<int>& keys,
+                              const std::vector<int>& vals,
+                              const std::vector<bool>& is_int) {
+  std::vector<Row> out;
+  for (const auto& g : RefGroups(rows, keys)) {
+    std::vector<double> sums(vals.size(), 0.0);
+    bool seen = false;
+    for (size_t i : g) {
+      bool all_null = !vals.empty();
+      for (int c : vals) {
+        all_null &= rows[i].fields[static_cast<size_t>(c)].is_null();
+      }
+      if (all_null) continue;
+      seen = true;
+      for (size_t v = 0; v < vals.size(); ++v) {
+        const Field& f = rows[i].fields[static_cast<size_t>(vals[v])];
+        if (!f.is_null()) sums[v] += f.AsNumber();
+      }
+    }
+    Row row = Project(rows[g[0]], keys);
+    for (size_t v = 0; v < vals.size(); ++v) {
+      row.fields.push_back(!seen ? Field::Null()
+                           : is_int[v]
+                               ? Field::Int(static_cast<int64_t>(sums[v]))
+                               : Field::Real(sums[v]));
+    }
+    out.push_back(std::move(row));
+  }
+  return out;
+}
+
+Parts RefSum(Cluster* cluster, const Dataset& in, const std::vector<int>& keys,
+             const std::vector<int>& vals, bool combine,
+             const std::vector<bool>& is_int) {
+  Parts partial;
+  for (const auto& part : PartsOf(in)) {
+    if (combine) {
+      partial.push_back(RefAggregate(part, keys, vals, is_int));
+    } else {
+      std::vector<Row> reshaped;
+      for (const Row& r : part) {
+        reshaped.push_back(Concat(Project(r, keys), Project(r, vals)));
+      }
+      partial.push_back(std::move(reshaped));
+    }
+  }
+  const std::vector<int> pk = Iota(0, keys.size());
+  Parts shuffled =
+      RefShuffle(cluster, partial, in.partitioning.IsHashOn(keys), pk);
+  Parts out;
+  for (const auto& part : shuffled) {
+    out.push_back(
+        RefAggregate(part, pk, Iota(keys.size(), vals.size()), is_int));
+  }
+  return out;
+}
+
+Parts RefDistinct(const Parts& in, size_t width) {
+  Parts out(in.size());
+  for (size_t p = 0; p < in.size(); ++p) {
+    for (const auto& g : RefGroups(in[p], Iota(0, width))) {
+      out[p].push_back(in[p][g[0]]);
+    }
+  }
+  return out;
+}
+
+/// Cell identity: equal value and hash, and bag rows equal in order.
+void ExpectSameField(const Field& got, const Field& want,
+                     const std::string& at) {
+  if (want.is_bag()) {
+    ASSERT_TRUE(got.is_bag()) << at << ": got " << got.ToString();
+    ASSERT_EQ(got.AsBag()->size(), want.AsBag()->size()) << at;
+    for (size_t i = 0; i < want.AsBag()->size(); ++i) {
+      const Row& gr = (*got.AsBag())[i];
+      const Row& wr = (*want.AsBag())[i];
+      ASSERT_EQ(gr.fields.size(), wr.fields.size()) << at;
+      for (size_t f = 0; f < wr.fields.size(); ++f) {
+        ExpectSameField(gr.fields[f], wr.fields[f],
+                        at + " bag row " + std::to_string(i));
+      }
+    }
+    return;
+  }
+  EXPECT_TRUE(got == want && got.Hash() == want.Hash())
+      << at << ": got " << got.ToString() << ", want " << want.ToString();
+}
+
+void ExpectParts(const Dataset& got, const Parts& want,
+                 const std::string& what) {
+  ASSERT_EQ(got.NumPartitions(), want.size()) << what;
+  for (size_t p = 0; p < want.size(); ++p) {
+    const std::vector<Row> rows = got.PartitionRows(p);
+    ASSERT_EQ(rows.size(), want[p].size()) << what << " partition " << p;
+    for (size_t i = 0; i < rows.size(); ++i) {
+      ASSERT_EQ(rows[i].fields.size(), want[p][i].fields.size()) << what;
+      for (size_t f = 0; f < rows[i].fields.size(); ++f) {
+        ExpectSameField(rows[i].fields[f], want[p][i].fields[f],
+                        what + " p" + std::to_string(p) + " row " +
+                            std::to_string(i) + " col " + std::to_string(f));
+      }
+      // Per-row byte accounting stays exact after the column gathers.
+      EXPECT_EQ(got.store.block(p).RowBytesAt(i), RowDeepSize(want[p][i]))
+          << what;
+    }
+  }
+}
+
+/// Left-side rows: an int key with NULLs and, now and then, a Real key
+/// (which demotes the key column and must not match Int keys of equal
+/// value), a string key with NULLs next to empty strings, an int value and
+/// a real value (both sometimes NULL, together marking a miss row).
+std::vector<Row> RefLeftRows(Rng* rng, size_t n) {
+  std::vector<Row> rows;
+  for (size_t i = 0; i < n; ++i) {
+    int64_t k = rng->UniformRange(0, 7);
+    Field key = rng->NextBool(0.1)    ? Field::Null()
+                : rng->NextBool(0.08) ? Field::Real(static_cast<double>(k))
+                                      : Field::Int(k);
+    Field s = rng->NextBool(0.1) ? Field::Null()
+                                 : Field::Str(rng->NextString(rng->Uniform(2)));
+    const bool miss = rng->NextBool(0.15);
+    Field v = miss || rng->NextBool(0.1) ? Field::Null()
+                                         : Field::Int(rng->UniformRange(-5, 9));
+    Field x = miss || rng->NextBool(0.1)
+                  ? Field::Null()
+                  : Field::Real(rng->UniformReal(-2.0, 2.0));
+    rows.push_back(Row({key, s, v, x}));
+  }
+  return rows;
+}
+
+std::vector<Row> RefRightRows(Rng* rng, size_t n) {
+  std::vector<Row> rows;
+  for (size_t i = 0; i < n; ++i) {
+    Field key = rng->NextBool(0.1) ? Field::Null()
+                                   : Field::Int(rng->UniformRange(0, 9));
+    Field w = rng->NextBool(0.1) ? Field::Null()
+                                 : Field::Str(rng->NextString(rng->Uniform(2)));
+    rows.push_back(Row({key, w, Field::Int(static_cast<int64_t>(i))}));
+  }
+  return rows;
+}
+
+/// Runs every keyed operator on one cluster, checking each output against
+/// the reference; the cluster's stats are compared across thread counts.
+void RunKeyedOperatorsAgainstReference(Cluster* cluster) {
+  Schema ls({{"k", nrc::Type::Int()},
+             {"s", nrc::Type::String()},
+             {"v", nrc::Type::Int()},
+             {"x", nrc::Type::Real()}});
+  Schema rs({{"k2", nrc::Type::Int()},
+             {"w", nrc::Type::String()},
+             {"n", nrc::Type::Int()}});
+  Rng rng(2024);
+  Dataset l = Source(cluster, ls, RefLeftRows(&rng, 90), "l").ValueOrDie();
+  Dataset l2 = Source(cluster, ls, RefLeftRows(&rng, 30), "l2").ValueOrDie();
+  Dataset r = Source(cluster, rs, RefRightRows(&rng, 60), "r").ValueOrDie();
+  // Two rows over four partitions: most right partitions are empty.
+  Dataset tiny =
+      Source(cluster, rs, RefRightRows(&rng, 2), "tiny").ValueOrDie();
+  const size_t rw = rs.size();
+
+  for (JoinType type : {JoinType::kInner, JoinType::kLeftOuter}) {
+    const std::string t = type == JoinType::kInner ? "inner" : "left_outer";
+    ExpectParts(
+        HashJoin(cluster, l, r, {0}, {0}, type, "join").ValueOrDie(),
+        RefJoin(RefShuffle(cluster, PartsOf(l), false, {0}),
+                RefShuffle(cluster, PartsOf(r), false, {0}), {0}, {0}, type,
+                rw),
+        "join " + t);
+    ExpectParts(
+        HashJoin(cluster, l, tiny, {0, 1}, {0, 1}, type, "join2")
+            .ValueOrDie(),
+        RefJoin(RefShuffle(cluster, PartsOf(l), false, {0, 1}),
+                RefShuffle(cluster, PartsOf(tiny), false, {0, 1}), {0, 1},
+                {0, 1}, type, rw),
+        "join tiny " + t);
+    Parts bcast(l.NumPartitions(), r.Collect());
+    ExpectParts(
+        BroadcastJoin(cluster, l, r, {0}, {0}, type, "bjoin").ValueOrDie(),
+        RefJoin(PartsOf(l), bcast, {0}, {0}, type, rw), "broadcast " + t);
+  }
+
+  Dataset cg =
+      CoGroup(cluster, l, r, {0}, {0}, {1, 2}, "bag", "cogroup").ValueOrDie();
+  ExpectParts(cg,
+              RefCoGroup(RefShuffle(cluster, PartsOf(l), false, {0}),
+                         RefShuffle(cluster, PartsOf(r), false, {0}), {0},
+                         {0}, {1, 2}),
+              "cogroup");
+  // Misses carry empty bags; left rows that share a key carry equal bags.
+  const std::vector<Row> cg_rows = cg.Collect();
+  size_t shared = 0;
+  for (size_t i = 0; i < cg_rows.size(); ++i) {
+    const Row& a = cg_rows[i];
+    if (a.fields[0].is_null()) {
+      EXPECT_TRUE(a.fields[4].AsBag()->empty());
+    }
+    for (size_t j = i + 1; j < cg_rows.size(); ++j) {
+      if (!a.fields[0].is_null() && SameKey(a, {0}, cg_rows[j], {0})) {
+        EXPECT_EQ(a.fields[4], cg_rows[j].fields[4]);
+        ++shared;
+      }
+    }
+  }
+  EXPECT_GT(shared, 0u);
+
+  Dataset lp = Repartition(cluster, l, {0}, "repart").ValueOrDie();
+  ExpectParts(lp, RefShuffle(cluster, PartsOf(l), false, {0}),
+              "repartition shuffle");
+  ExpectParts(Repartition(cluster, lp, {0}, "repart_reuse").ValueOrDie(),
+              PartsOf(lp), "repartition reuse");
+
+  for (const Dataset* in : {&l, &lp}) {
+    const std::string path = in == &l ? " shuffle" : " reuse";
+    const bool reuse = in->partitioning.IsHashOn({0});
+    // Fallback miss rule (s and v NULL) and an explicit indicator (x).
+    ExpectParts(
+        NestGroup(cluster, *in, {0}, {1, 2}, "vals", "nest").ValueOrDie(),
+        RefNest(RefShuffle(cluster, PartsOf(*in), reuse, {0}), {0}, {1, 2},
+                {1, 2}),
+        "nest" + path);
+    ExpectParts(
+        NestGroup(cluster, *in, {0}, {1, 2, 3}, "vals", "nest_ind", {3})
+            .ValueOrDie(),
+        RefNest(RefShuffle(cluster, PartsOf(*in), reuse, {0}), {0},
+                {1, 2, 3}, {3}),
+        "nest indicator" + path);
+    for (bool combine : {true, false}) {
+      const std::string c = combine ? " combine" : " no-combine";
+      ExpectParts(
+          SumAggregate(cluster, *in, {0}, {2, 3}, combine, "sum")
+              .ValueOrDie(),
+          RefSum(cluster, *in, {0}, {2, 3}, combine, {true, false}),
+          "sum" + c + path);
+      ExpectParts(
+          SumAggregate(cluster, *in, {1, 0}, {3}, combine, "sum2")
+              .ValueOrDie(),
+          RefSum(cluster, *in, {1, 0}, {3}, combine, {false}),
+          "sum two keys" + c + path);
+    }
+  }
+
+  Dataset u = UnionAll(cluster, l, l2, "union").ValueOrDie();
+  Parts want_u = PartsOf(l);
+  Parts l2p = PartsOf(l2);
+  for (size_t p = 0; p < want_u.size(); ++p) {
+    want_u[p].insert(want_u[p].end(), l2p[p].begin(), l2p[p].end());
+  }
+  ExpectParts(u, want_u, "union");
+  // Dedup the union with l again, so every row of l has a duplicate.
+  Dataset ll = UnionAll(cluster, u, l, "union2").ValueOrDie();
+  ExpectParts(Distinct(cluster, ll, "dedup").ValueOrDie(),
+              RefDistinct(RefShuffle(cluster, PartsOf(ll), false,
+                                     Iota(0, ls.size())),
+                          ls.size()),
+              "distinct");
+}
+
+TEST(OpsTest, KeyedOperatorsMatchRowReference) {
+  Cluster c1(ClusterConfig{.num_partitions = 4, .num_threads = 1});
+  Cluster c4(ClusterConfig{.num_partitions = 4, .num_threads = 4});
+  {
+    SCOPED_TRACE("1 thread");
+    RunKeyedOperatorsAgainstReference(&c1);
+  }
+  {
+    SCOPED_TRACE("4 threads");
+    RunKeyedOperatorsAgainstReference(&c4);
+  }
+  testing_util::ExpectSameStats(c1.stats(), c4.stats());
 }
 
 }  // namespace
